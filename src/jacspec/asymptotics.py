@@ -76,63 +76,52 @@ def _order_cap(x, hard_cap):
     return int(p[dead[0]]) if dead.size else hard_cap
 
 
-def _sum_window(n, w, K):
-    # sum over 0 <= k <= n + K, k != n of w(k, n-k)^2 / (n-k)^2, where
-    # w is the function table at the relevant x; orders beyond the
-    # table contribute exact zeros
-    p_cap = w.shape[1] - 1
-    total = 0.0
-    lo = np.arange(1, min(n, K) + 1)          # offsets below the diagonal
-    usable = lo[lo <= p_cap]
-    if usable.size:
-        vals = w[n - usable, usable]
-        total += float(np.sum((vals / usable) ** 2))
-    hi = np.arange(1, min(K, p_cap) + 1)      # offsets above the diagonal
-    if hi.size:
-        vals = w[n, hi]
-        total += float(np.sum((vals / hi) ** 2))
-    return total
-
-
 def remainder_s(n, g, eps_tail=1e-8):
     """Remainder column norm s_n with a certified tail bound.
 
-    Sums the squared conjugated-parity entries over the window
-    |k - n| <= K weighted by 1/(n-k)^2, where K grows until the crude
-    orthonormality tail bound 1/K^2 drops below eps_tail^2.  Window
-    terms whose Laguerre seed underflows double precision are exact
-    zeros and are skipped rather than evaluated.  Returns
-    (sqrt(partial sum), 1/K^2).
+    The one-index case of ``remainder_s_sweep``.  Returns
+    (s_n, 1/K^2).
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if eps_tail <= 0.0:
-        raise ValueError("eps_tail must be positive")
-    K = int(math.ceil(1.0 / eps_tail)) + 1
-    tail = 1.0 / (K * K)
-    if g == 0.0:
-        return 0.0, tail
-    x = 4.0 * g * g
-    p_cap = _order_cap(x, max(n, 64) + 4096)
-    w = specfun.laguerre_function_table(n, min(p_cap, K), x)
-    return math.sqrt(_sum_window(n, w, K)), tail
+    s, tail = remainder_s_sweep([n], g, eps_tail)
+    return float(s[0]), float(tail[0])
 
 
 def remainder_s_sweep(ns, g, eps_tail=1e-8):
-    """Vector of s_n over an index array, sharing one function table."""
+    """Remainder column norms s_n over an index array, with tail bounds.
+
+    s_n^2 sums the squared conjugated-parity entries over the window
+    0 < |k - n| <= K weighted by 1/(n-k)^2, where K grows until the crude
+    orthonormality tail bound 1/K^2 drops below eps_tail^2.  Those
+    entries are, up to sign, W[j, p] of the Laguerre function table at
+    x = 4 g^2: (n, p) above the diagonal and (n - p, p) below it.  One
+    pass of the degree recurrence adds each row k's terms to above[k]
+    and to below[k + p], in O(max n + K) memory.  Orders whose Laguerre
+    seed underflows double precision are exact zeros and are skipped.
+    Returns (s_n array, 1/K^2 array).
+    """
     ns = np.asarray(ns, dtype=int)
     if ns.size and ns.min() < 0:
         raise ValueError("indices must be nonnegative")
+    if eps_tail <= 0.0:
+        raise ValueError("eps_tail must be positive")
     K = int(math.ceil(1.0 / eps_tail)) + 1
     tails = np.full(ns.shape, 1.0 / (K * K))
     if g == 0.0 or ns.size == 0:
         return np.zeros(ns.shape), tails
     x = 4.0 * g * g
     n_top = int(ns.max())
-    p_cap = _order_cap(x, n_top + 4096)
-    w = specfun.laguerre_function_table(n_top, min(p_cap, K), x)
-    out = np.array([math.sqrt(_sum_window(int(n), w, K)) for n in ns])
-    return out, tails
+    P = min(_order_cap(x, n_top + 4096), K)
+    offsets = np.arange(1, P + 1, dtype=float)
+    above = np.empty(n_top + 1)
+    below = np.zeros(n_top + 1)
+    for k, row in enumerate(specfun._laguerre_function_rows(n_top, P, x)):
+        terms = (row[1:] / offsets) ** 2
+        above[k] = np.sum(terms)
+        span = min(P, n_top - k)
+        below[k + 1 : k + 1 + span] += terms[:span]
+    return np.sqrt(below[ns] + above[ns]), tails
 
 
 def residual_table(p, n_lo, n_hi, tol=1e-8, eps_tail=1e-8):

@@ -7,8 +7,8 @@ effect before numpy loads its BLAS.
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -167,32 +167,32 @@ def _format_cell(v):
 
 
 def _emit_table(cfg, header, rows, fits=None, checks=None):
-    if cfg.output_format == "json":
-        payload = {
-            "config": _config_dict(cfg),
-            "rows": [dict(zip(header, row)) for row in rows],
-            "fits": fits or {},
-            "checks": checks or [],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-        _write_out(cfg.output_path, text)
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
-    _write_out(cfg.output_path, buf.getvalue())
+    with _output(cfg.output_path) as fh:
+        if cfg.output_format == "json":
+            payload = {
+                "config": _config_dict(cfg),
+                "rows": [dict(zip(header, row)) for row in rows],
+                "fits": fits or {},
+                "checks": checks or [],
+            }
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+            return
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_cell(v) for v in row])
     if fits is not None:
         sys.stdout.write(json.dumps({"fits": fits}) + "\n")
 
 
-def _write_out(path, text):
+@contextlib.contextmanager
+def _output(path):
     if path:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def cmd_spectrum(cfg):

@@ -1,10 +1,14 @@
 """Index-addressed eigenvalues of symmetric tridiagonal matrices.
 
-Sturm-sequence bisection only: no eigenvectors, certified index
-bracketing, and an adaptive truncation loop that doubles the matrix
-until the requested eigenvalues of the infinite operator stop moving.
+Sturm-sequence bisection only, no eigenvectors.  ``converged_spectrum``
+finds each requested eigenvalue of the infinite operator by multisection
+on a window of rows around its index, then certifies every result with
+one Sturm sweep over a truncation plus a bound on the infinite tail
+beyond it.  Only the indices that fail the certificate are solved
+again, on wider windows.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +25,11 @@ __all__ = [
 
 _SAFMIN = np.finfo(float).tiny
 _N_MAX = 2**21
+# rows added to each side of a window beyond 3 |g| sqrt(n_hi + 1)
+_W_PAD = 64
+# multisection points per sweep, summed over indices, that cost about as
+# much as one point: numpy call overhead dominates below this length
+_SWEEP_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -42,19 +51,27 @@ class SpectralRequest:
 
 @dataclass
 class SpectrumSlice:
-    """Eigenvalues by index with truncation-convergence metadata."""
+    """Eigenvalues by index with their certificates.
+
+    A converged value is certified: the infinite operator has its
+    eigenvalue of that index within ``est_error`` of it.  ``est_error``
+    is inf where no certificate was found.  ``truncation_N`` is the size
+    of the last certifying truncation; ``history`` holds one
+    (truncation size, indices still uncertified) pair per widening.
+    """
 
     indices: range
     values: np.ndarray
     truncation_N: int
     converged: np.ndarray
     est_error: np.ndarray
-    history: list = field(default_factory=list)  # (N, max est_error) per doubling
+    history: list = field(default_factory=list)
 
     def __post_init__(self):
         ok = self.converged
-        if ok.sum() > 1 and not np.all(np.diff(self.values[ok]) > 0.0):
-            raise AssertionError("converged eigenvalues are not strictly increasing")
+        # ties are exact at g = 0, where the operator is diagonal
+        if np.any(np.diff(self.values[ok]) < 0.0):
+            raise ValueError("converged eigenvalues are not in ascending order")
 
 
 def _gershgorin(tri):
@@ -66,14 +83,27 @@ def _gershgorin(tri):
     return float(np.min(tri.diag - radius)), float(np.max(tri.diag + radius))
 
 
-def _sturm_count_batch(diag, off2, xs, pivmin):
+def _sturm_pivots(diag, off2, xs, pivmin):
+    """LDL^T pivots of T - x, for every x in xs at once.
+
+    Returns the number of negative pivots among all rows but the last,
+    and the last pivot.  A pivot smaller than pivmin in magnitude is
+    replaced by -pivmin before it is counted, as LAPACK's dlaebz does,
+    so an exactly zero pivot counts as negative.  The last pivot is
+    negative after that replacement exactly when it is below pivmin.
+    """
     q = diag[0] - xs
-    count = (q < 0.0).astype(np.int64)
+    count = np.zeros(xs.shape, dtype=np.int64)
     for i in range(1, diag.shape[0]):
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        q = (diag[i] - xs) - off2[i - 1] / q
+        np.putmask(q, np.abs(q) < pivmin, -pivmin)
         count += q < 0.0
-    return count
+        q = (diag[i] - xs) - off2[i - 1] / q
+    return count, q
+
+
+def _sturm_count_batch(diag, off2, xs, pivmin):
+    count, q = _sturm_pivots(diag, off2, xs, pivmin)
+    return count + (q < pivmin)
 
 
 def _pivmin(off2):
@@ -118,33 +148,141 @@ def eigenvalue_by_index(T, n, tol):
     return float(_bisect_indices(T, np.array([n]), tol)[0])
 
 
-def converged_spectrum(p, req, n_start=None):
-    """Eigenvalues of the infinite operator for indices in req.
+def _window_counts(p, a, L, xs, pivmin):
+    """Eigenvalues below xs[i] of the operator's rows [a[i], a[i] + L).
 
-    Starts from a truncation well past n_hi and doubles it until the
-    requested eigenvalues move by less than req.tol between successive
-    sizes.  Non-convergence at the hard size cap is reported per index
-    through the ``converged`` flags, never silently.
+    The window rows are generated as the sweep goes: diagonal
+    k + c(parity of k) and squared coupling g^2 k to the row above, at
+    k = a + j.  No (indices x L) array is formed.
     """
-    indices = np.arange(req.n_lo, req.n_hi + 1)
-    n = n_start if n_start is not None else max(2 * req.n_hi + 64, 256)
-    n = max(n, req.n_hi + 2)
-    solver_tol = req.tol / 8.0
-    vals = _bisect_indices(build_A(p, n), indices, solver_tol)
+    g2 = p.g * p.g
+    even = a % 2 == 0
+    # diagonal minus x at window row j is shift[j % 2] + j
+    shift = (a - xs + np.where(even, p.c1, p.c2), a - xs + np.where(even, p.c2, p.c1))
+    g2a = g2 * a
+    q = shift[0].copy()
+    count = np.zeros(xs.shape, dtype=np.int64)
+    for j in range(1, L):
+        np.putmask(q, np.abs(q) < pivmin, -pivmin)
+        count += q < 0.0
+        q = (shift[j & 1] + j) - (g2a + g2 * j) / q
+    np.putmask(q, np.abs(q) < pivmin, -pivmin)
+    return count + (q < 0.0)
+
+
+def _window_bisect(p, ns, W, tol):
+    """Eigenvalue n of the rows [n - W, n + W] (clipped at 0), per n in ns.
+
+    Multisection from the Weyl bracket n - g^2 + [min c, max c], widened
+    by 1 on each side, down to width below tol.  Each step counts at
+    2^s - 1 points per index, with s as large as keeps the sweep's
+    vectors within _SWEEP_WIDTH, so narrow slices take fewer sweeps.  The
+    result is only a candidate: the window may be too narrow, and the
+    bracket holds the operator's eigenvalue, not the window's.
+    """
+    s = max(1, int(math.log2(_SWEEP_WIDTH / ns.size + 1.0)))
+    parts = 2**s
+    start = np.maximum(ns - W, 0)
+    local = (ns - start)[:, None]
+    a = np.repeat(start, parts - 1).astype(float)
+    L = 2 * W + 1
+    g2 = p.g * p.g
+    pivmin = _SAFMIN * max(1.0, g2 * (float(a.max()) + L))
+    lo = ns - g2 + min(p.c1, p.c2) - 1.0
+    width = abs(p.c1 - p.c2) + 2.0
+    grid = np.arange(1, parts)
+    for _ in range(math.ceil(math.log2(width / tol) / s)):
+        width /= parts
+        xs = lo[:, None] + width * grid
+        counts = _window_counts(p, a, L, xs.ravel(), pivmin).reshape(xs.shape)
+        lo = lo + width * np.sum(counts <= local, axis=1)
+    return lo + 0.5 * width
+
+
+def _operator_counts(p, M, xs):
+    """Bounds on the number of eigenvalues of the infinite operator below xs.
+
+    One Sturm sweep over the M-row truncation, through ``build_A``.  Its
+    count is a lower bound, since truncation raises every eigenvalue.
+    Below x, the rows from M on are bounded below by tail_lo (Gershgorin),
+    so eliminating them subtracts from the last pivot some delta in
+    [0, g^2 M / (tail_lo - x)]; the count with the largest delta is an
+    upper bound.  Where x >= tail_lo there is no upper bound (int64 max).
+    """
+    T = build_A(p, M)
+    off2 = T.off * T.off
+    pivmin = _pivmin(off2)
+    count, q = _sturm_pivots(T.diag, off2, xs, pivmin)
+    # row k >= M has k + min c - |g| (sqrt(k) + sqrt(k+1)) >= f(k) + min c
+    # with f(t) = t - 2|g| sqrt(t + 1), smallest over t >= M at
+    # t = max(M, g^2 - 1)
+    t = max(float(M), p.g * p.g - 1.0)
+    tail_lo = t + min(p.c1, p.c2) - 2.0 * abs(p.g) * math.sqrt(t + 1.0)
+    below_tail = xs < tail_lo
+    delta = p.g * p.g * M / np.where(below_tail, tail_lo - xs, 1.0)
+    fewest = count + (q < pivmin)
+    most = np.where(below_tail, count + (q - delta < pivmin), np.iinfo(np.int64).max)
+    return fewest, most
+
+
+def _certify(p, ns, vals, tol, M):
+    """Which vals[i] lie within tol/2 of eigenvalue ns[i] of the operator.
+
+    The interval around vals[i] is moved out to at least one ulp on each
+    side.  It holds eigenvalue n when at most n eigenvalues lie below its
+    left end and more than n below its right end.  Returns the flags and
+    the half-widths.
+    """
+    x_lo = np.minimum(vals - 0.5 * tol, np.nextafter(vals, -np.inf))
+    x_hi = np.maximum(vals + 0.5 * tol, np.nextafter(vals, np.inf))
+    fewest, most = _operator_counts(p, M, np.concatenate([x_lo, x_hi]))
+    ok = (most[: ns.size] <= ns) & (fewest[ns.size:] > ns)
+    return ok, np.maximum(vals - x_lo, x_hi - vals)
+
+
+def converged_spectrum(p, req):
+    """Certified eigenvalues of the infinite operator for indices in req.
+
+    Each index n is found on the rows [n - W, n + W] with
+    W = ceil(3 |g| sqrt(n_hi + 1)) + 64, then certified by ``_certify``
+    on M = n_hi + W + 1 rows.  Indices that fail are solved again with
+    W doubled, as long as M stays within the size cap; those that still
+    fail are reported through the ``converged`` flags, never silently.
+    Raises ValueError when even the first truncation exceeds the cap.
+    """
+    w0 = 3.0 * abs(p.g) * math.sqrt(req.n_hi + 1) + _W_PAD
+    if req.n_hi + w0 + 1 > _N_MAX:
+        raise ValueError(
+            f"index {req.n_hi} at g={p.g!r} needs a truncation beyond {_N_MAX} rows"
+        )
+    W0 = W = math.ceil(w0)
+    ns = np.arange(req.n_lo, req.n_hi + 1)
+    vals = np.empty(ns.shape)
+    half = np.full(ns.shape, np.inf)
+    todo = np.arange(ns.size)
     history = []
     while True:
-        n2 = 2 * n
-        vals2 = _bisect_indices(build_A(p, n2), indices, solver_tol)
-        est = np.abs(vals2 - vals)
-        history.append((n2, float(est.max())))
-        done = est < req.tol
-        if np.all(done) or n2 >= _N_MAX:
-            return SpectrumSlice(
-                indices=range(req.n_lo, req.n_hi + 1),
-                values=vals2,
-                truncation_N=n2,
-                converged=done,
-                est_error=est,
-                history=history,
-            )
-        n, vals = n2, vals2
+        M = req.n_hi + W + 1
+        vals[todo] = _window_bisect(p, ns[todo], W, req.tol / 8.0)
+        ok, width = _certify(p, ns[todo], vals[todo], req.tol, M)
+        half[todo[ok]] = width[ok]
+        todo = todo[~ok]
+        if W > W0:
+            history.append((M, int(todo.size)))
+        if todo.size == 0 or req.n_hi + 2 * W + 1 > _N_MAX:
+            break
+        W *= 2
+    done = np.flatnonzero(np.isfinite(half))
+    if np.any(np.diff(vals[done]) < 0.0):
+        # near-ties can come out of bisection reversed; sorting moves no
+        # value further from its target than the widest certificate
+        vals[done] = np.sort(vals[done])
+        half[done] = half[done].max()
+    return SpectrumSlice(
+        indices=range(req.n_lo, req.n_hi + 1),
+        values=vals,
+        truncation_N=M,
+        converged=np.isfinite(half),
+        est_error=half,
+        history=history,
+    )

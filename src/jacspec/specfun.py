@@ -184,17 +184,31 @@ def laguerre_function_table(n_max, s_max, x):
         raise ValueError(f"laguerre_function_table requires x > 0, got {x}")
     if n_max < 0 or s_max < 0:
         raise ValueError("table extents must be nonnegative")
-    p = np.arange(s_max + 1, dtype=float)
     w = np.empty((n_max + 1, s_max + 1))
-    w[0] = np.exp(-0.5 * x + 0.5 * p * np.log(x) - 0.5 * _log_gamma_arr(p + 1.0))
+    for j, row in enumerate(_laguerre_function_rows(n_max, s_max, x)):
+        w[j] = row
+    return w
+
+
+def _laguerre_function_rows(n_max, s_max, x):
+    """Rows W[0], ..., W[n_max] of ``laguerre_function_table``, one at a time.
+
+    The degree recurrence needs only the two previous rows, so a caller
+    that folds each row away uses O(s_max) memory.  Arguments are not
+    checked here.
+    """
+    p = np.arange(s_max + 1, dtype=float)
+    prev = np.exp(-0.5 * x + 0.5 * p * np.log(x) - 0.5 * _log_gamma_arr(p + 1.0))
+    yield prev
     if n_max == 0:
-        return w
-    w[1] = (p + 1.0 - x) / np.sqrt(p + 1.0) * w[0]
+        return
+    cur = (p + 1.0 - x) / np.sqrt(p + 1.0) * prev
+    yield cur
     for k in range(1, n_max):
-        w[k + 1] = ((2 * k + p + 1 - x) * w[k] - np.sqrt(k * (k + p)) * w[k - 1]) / np.sqrt(
+        prev, cur = cur, ((2 * k + p + 1 - x) * cur - np.sqrt(k * (k + p)) * prev) / np.sqrt(
             (k + 1) * (k + p + 1)
         )
-    return w
+        yield cur
 
 
 def bessel_j(s, x):
@@ -293,14 +307,14 @@ def gauss_laguerre(order, alpha=0.0):
         raise ValueError(f"order must be >= 1, got {order}")
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    from .eigensolve import eigenvalue_by_index  # deferred: avoids import cycle
+    from .eigensolve import _bisect_indices  # deferred: avoids import cycle
     from .model import Tridiagonal
 
     k = np.arange(order, dtype=float)
     tri = Tridiagonal(diag=2.0 * k + alpha + 1.0, off=np.sqrt(k[1:] * (k[1:] + alpha)))
     hi = float(np.max(tri.diag)) + 2.0 * float(np.max(tri.off, initial=0.0))
     tol = 1e-11 * max(1.0, hi)
-    nodes = np.array([eigenvalue_by_index(tri, i, tol) for i in range(order)])
+    nodes = _bisect_indices(tri, np.arange(order), tol)
     nodes = np.array([_polish_laguerre_node(order, alpha, xi) for xi in nodes])
 
     n = order

@@ -112,6 +112,23 @@ class TestRemainderS:
             assert s_val == pytest.approx(s_ref, rel=1e-13)
             assert t_val == t_ref
 
+    @pytest.mark.parametrize("g", [0.5, 1.3])
+    def test_streamed_sweep_matches_full_table(self, g):
+        # the per-index window sum over a materialized table, as the
+        # streamed sweep replaced it; only summation order differs
+        ns = np.arange(0, 301)
+        x = 4 * g * g
+        P = asymptotics._order_cap(x, 300 + 4096)
+        w = specfun.laguerre_function_table(300, P, x)
+        offsets = np.arange(1, P + 1)
+        ref = []
+        for n in ns:
+            u = offsets[offsets <= n]
+            below = np.sum((w[n - u, u] / u) ** 2)
+            ref.append(math.sqrt(below + np.sum((w[n, 1:] / offsets) ** 2)))
+        s, _ = asymptotics.remainder_s_sweep(ns, g)
+        np.testing.assert_allclose(s, ref, rtol=1e-14, atol=0.0)
+
 
 class TestResidualTable:
     def test_exactly_solvable_collapse(self):

@@ -43,6 +43,23 @@ class TestSpectrumCommand:
         for row in rows:
             assert abs(float(row["lambda"]) - int(row["n"])) < 1e-9
 
+    def test_zero_coupling_ties(self, capsys):
+        # g = 0, c1 - c2 = 1: the diagonal 1, 1, 3, 3 has exact ties
+        code, out, err = run_cli(
+            ["spectrum", "--g", "0", "--c1", "1", "--c2", "0", "--n", "0:3"], capsys
+        )
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        values = [float(row["lambda"]) for row in rows]
+        assert values == sorted(values)
+        for got, want in zip(values, [1.0, 1.0, 3.0, 3.0]):
+            assert abs(got - want) < 1e-8
+
+    def test_coupling_beyond_size_cap_exits_one(self, capsys):
+        code, _, err = run_cli(["spectrum", "--g", "1e200", "--n", "0:3"], capsys)
+        assert code == 1
+        assert "truncation" in err
+
     def test_invalid_range_exits_one(self, capsys):
         code, _, err = run_cli(["spectrum", "--n", "5:3"], capsys)
         assert code == 1
@@ -209,6 +226,16 @@ class TestHarness:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         cli._apply_thread_cap()
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # JS_THREADS only caps BLAS threads if numpy loads after main() starts
+        env = dict(os.environ, JS_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, jacspec.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_console_entry_point(self):
         out = subprocess.run(

@@ -28,6 +28,11 @@ class TestSturmCount:
         assert eigensolve.sturm_count(tri, lo) == 0
         assert eigensolve.sturm_count(tri, hi) == 40
 
+    def test_zero_pivot_counts_as_negative(self):
+        # the second pivot at x = 0.5 is exactly 0; lambda_0 = 0.380 < 0.5
+        tri = model.build_A(model.ModelParams(0.5, 1.0, 0.0), 129)
+        assert eigensolve.sturm_count(tri, 0.5) == 1
+
     def test_two_by_two_between_roots(self):
         g = 0.8
         tri = model.Tridiagonal(diag=np.array([0.0, 1.0]), off=np.array([g]))
@@ -149,13 +154,81 @@ class TestConvergedSpectrum:
         assert np.all(sl.est_error < 1e-9)
         assert np.all(np.diff(sl.values) > 0)
 
-    def test_truncation_error_shrinks_over_doublings(self):
-        # start the truncation tight so several doublings are visible
-        p = model.ModelParams(g=2.5, c1=0.7, c2=0.0)
-        sl = eigensolve.converged_spectrum(
-            p, eigensolve.SpectralRequest(58, 60, 1e-12), n_start=62
-        )
+    def test_zero_coupling_ties(self):
+        # g = 0 and c1 - c2 = 1: diagonal 1, 1, 3, 3, ... has exact ties
+        p = model.ModelParams(g=0.0, c1=1.0, c2=0.0)
+        sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(0, 3, 1e-8))
         assert sl.converged.all()
-        drops = [err for _, err in sl.history]
-        assert len(drops) >= 3
-        assert all(b < a for a, b in zip(drops, drops[1:]))
+        np.testing.assert_allclose(sl.values, [1.0, 1.0, 3.0, 3.0], atol=1e-8)
+        assert np.all(np.diff(sl.values) >= 0.0)
+
+    def test_slice_rejects_descending_values(self):
+        with pytest.raises(ValueError):
+            eigensolve.SpectrumSlice(
+                indices=range(2), values=np.array([2.0, 1.0]), truncation_N=4,
+                converged=np.array([True, True]), est_error=np.zeros(2),
+            )
+
+    @pytest.mark.parametrize("g", [0.0, 0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("c2", [0.0, 0.63])  # c1 - c2 = 1 and 0.37
+    def test_windowed_matches_dense(self, g, c2):
+        p = model.ModelParams(g=g, c1=1.0, c2=c2)
+        tol = 1e-8
+        ranges = [(0, 12), (995, 1000)]
+        ns = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
+        dense = eigensolve._bisect_indices(model.build_A(p, 1000 + 400), ns, tol / 8)
+        got = []
+        for lo, hi in ranges:
+            sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(lo, hi, tol))
+            assert sl.converged.all()
+            assert np.all(sl.est_error < tol)
+            got.append(sl.values)
+        assert np.abs(np.concatenate(got) - dense).max() < tol
+
+    @pytest.mark.parametrize("g, c1, c2", [(0.5, 1.0, 0.0), (2.0, 0.3, -0.4),
+                                           (6.0, 0.0, 0.5)])
+    def test_tail_corrected_count_is_exact(self, g, c1, c2):
+        # where the tail bracket closes, the count is that of the operator,
+        # so a 4x larger truncation (LAPACK) must give the same count
+        p = model.ModelParams(g=g, c1=c1, c2=c2)
+        M = 300
+        xs = np.linspace(-g * g - 1.0, M + 10.0, 97)
+        fewest, most = eigensolve._operator_counts(p, M, xs)
+        exact = fewest == most
+        assert exact.sum() > 20
+        big = model.build_A(p, 4 * M)
+        lam = eigvalsh_tridiagonal(big.diag, big.off)
+        counts = np.searchsorted(lam, xs, side="left")
+        np.testing.assert_array_equal(fewest[exact], counts[exact])
+        assert np.all(fewest <= counts) and np.all(counts <= most)
+
+    def test_narrow_window_is_widened(self, monkeypatch):
+        # W = 1 at first: three-row windows give wrong candidates
+        monkeypatch.setattr(eigensolve, "_W_PAD", 0.5 - 3.0 * 0.5 * math.sqrt(41))
+        p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
+        sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(30, 40, 1e-9))
+        assert len(sl.history) >= 2
+        assert sl.history[-1][1] == 0
+        assert sl.converged.all()
+        dense = eigensolve._bisect_indices(
+            model.build_A(p, 440), np.arange(30, 41), 1e-10
+        )
+        assert np.abs(sl.values - dense).max() < 1e-9
+
+    def test_narrow_window_at_size_cap_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_W_PAD", 0.5 - 3.0 * 0.5 * math.sqrt(41))
+        monkeypatch.setattr(eigensolve, "_N_MAX", 48)
+        p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
+        sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(30, 40, 1e-9))
+        dense = eigensolve._bisect_indices(
+            model.build_A(p, 440), np.arange(30, 41), 1e-10
+        )
+        wrong = np.abs(sl.values - dense) >= 1e-9
+        assert wrong.any()
+        assert not sl.converged[wrong].any()
+        assert np.all(np.isinf(sl.est_error[~sl.converged]))
+
+    def test_beyond_size_cap_is_refused(self):
+        p = model.ModelParams(g=1e200)
+        with pytest.raises(ValueError, match="truncation"):
+            eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(0, 3, 1e-8))
