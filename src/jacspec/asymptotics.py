@@ -188,10 +188,13 @@ def dyadic_block_maxima(ns, values):
     """Max |value| per dyadic block [2^j, 2^(j+1)), keyed by j."""
     ns = np.asarray(ns)
     values = np.abs(np.asarray(values, dtype=float))
-    out = {}
-    for n, v in zip(ns, values):
-        if n < 1:
-            continue
-        j = int(math.floor(math.log2(n)))
-        out[j] = max(out.get(j, 0.0), v)
-    return out
+    keep = ns >= 1
+    # floor(log2 n), exactly: n = m 2^e with 1/2 <= m < 1
+    j = np.frexp(ns[keep].astype(float))[1] - 1
+    order = np.argsort(j, kind="stable")
+    j, values = j[order], values[keep][order]
+    if j.size == 0:
+        return {}
+    starts = np.flatnonzero(np.diff(j, prepend=j[0] - 1))
+    maxima = np.maximum.reduceat(values, starts)
+    return {int(b): float(v) for b, v in zip(j[starts], maxima)}

@@ -263,7 +263,7 @@ def cmd_verify(cfg, smax, xgrid, nmax):
     import numpy as np
 
     from . import diagonalize
-    from .model import build_dense_rtilde, u_column_mass
+    from .model import u_column_mass
 
     lo, hi, count = xgrid
     checks = []
@@ -308,8 +308,7 @@ def cmd_verify(cfg, smax, xgrid, nmax):
         worst_mass = max(worst_mass, abs(1.0 - mass))
     checks.append(_check_entry("orthonormality", worst_mass < 1e-9, worst_mass))
 
-    rt = build_dense_rtilde(min(_DEFAULTS["similarity_n"], 256), cfg.g)
-    asym = float(np.max(np.abs(rt - rt.T)))
+    asym = float(np.max(np.abs(bundle.Rt - bundle.Rt.T)))
     checks.append(_check_entry("rtilde_symmetry", asym == 0.0, asym))
 
     for entry in checks:
@@ -331,29 +330,29 @@ def _check_entry(name, ok, metric, note=""):
 
 
 def cmd_oracle(cfg, cap, points):
+    import numpy as np
+
     from .model import (
         r_tilde,
         r_tilde_oracle_finite_sum,
-        r_tilde_oracle_sum,
+        r_tilde_oracle_sum_block,
         u_element,
-        u_element_contour,
+        u_element_contour_block,
     )
 
     if cap > 30:
         return _usage_error(f"oracle caps are limited to 30, got {cap}")
+    idx = np.arange(cap + 1)
+    contour = u_element_contour_block(idx, idx, cfg.g, points).tolist()
+    conj_sum = r_tilde_oracle_sum_block(idx, idx, cfg.g, cap + 80).tolist()
     dev_contour = 0.0
     dev_sum = 0.0
     dev_finite = 0.0
     for a in range(cap + 1):
         for b in range(cap + 1):
-            dev_contour = max(
-                dev_contour,
-                abs(u_element(a, b, cfg.g) - u_element_contour(a, b, cfg.g, points)),
-            )
+            dev_contour = max(dev_contour, abs(u_element(a, b, cfg.g) - contour[a][b]))
             rt = r_tilde(a, b, cfg.g)
-            dev_sum = max(
-                dev_sum, abs(rt - r_tilde_oracle_sum(a, b, cfg.g, cap + 80))
-            )
+            dev_sum = max(dev_sum, abs(rt - conj_sum[a][b]))
             dev_finite = max(dev_finite, abs(rt - r_tilde_oracle_finite_sum(a, b, cfg.g)))
     rows = [("u_contour_vs_closed", dev_contour),
             ("rtilde_sum_vs_closed", dev_sum),

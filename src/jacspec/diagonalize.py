@@ -122,11 +122,14 @@ def check_bessel_bound(s_max, x_grid):
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid <= 0.0):
         raise ValueError("grid points must be positive")
+    # one Miller pass per grid point yields every order
+    table = np.array(
+        [specfun.bessel_j(s_max, float(x), all_orders=True) for x in x_grid]
+    ).reshape(x_grid.size, s_max + 1)
     worst = -math.inf
     violations = []
     for s in range(s_max + 1):
-        for x in x_grid:
-            j = specfun.bessel_j(s, float(x))
+        for x, j in zip(x_grid, table[:, s].tolist()):
             log_bound = (
                 math.log(2.0)
                 + 0.5 * (math.log(2.0 / math.pi) - math.log(x))
@@ -155,17 +158,22 @@ def check_laguerre_bound(x, s_list, n_max):
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
+    for s in s_list:
+        if s < 0:
+            raise ValueError(f"order must be nonnegative, got {s}")
+        if s**16 > n_max:
+            raise ValueError(f"no admissible degree for s={s} below n_max={n_max}")
     early_cut = n_max // 10
     worst_ratio = 1.0
     total = 0
     violations = []
     notes = []
+    w = specfun.laguerre_function_table(n_max, max(s_list, default=0), x)
+    scale = (np.arange(n_max + 1) + 1.0) ** 0.25
     for s in s_list:
         n0 = s**16
-        if n0 > n_max:
-            raise ValueError(f"no admissible degree for s={s} below n_max={n_max}")
-        q = _scaled_function_profile(s, x, n_max)
-        q = q[n0:]
+        q = np.abs(w[n0:, s])
+        q *= scale[n0:]
         ns = np.arange(n0, n_max + 1)
         total += q.size
         early = q[ns <= early_cut]
@@ -190,24 +198,6 @@ def check_laguerre_bound(x, s_list, n_max):
         violations=violations,
         note="; ".join(notes),
     )
-
-
-def _scaled_function_profile(s, x, n_max):
-    # (n+1)^(1/4) |w_n^(s)(x)| for n = 0..n_max via the scalar recurrence
-    out = np.empty(n_max + 1)
-    w_prev = math.exp(-0.5 * x + 0.5 * s * math.log(x) - 0.5 * specfun.log_gamma(s + 1.0))
-    out[0] = abs(w_prev)
-    if n_max >= 1:
-        w = (s + 1.0 - x) / math.sqrt(s + 1.0) * w_prev
-        out[1] = abs(w)
-        for k in range(1, n_max):
-            w, w_prev = (
-                ((2 * k + s + 1 - x) * w - math.sqrt(k * (k + s)) * w_prev)
-                / math.sqrt((k + 1) * (k + s + 1)),
-                w,
-            )
-            out[k + 1] = abs(w)
-    return out * (np.arange(n_max + 1) + 1.0) ** 0.25
 
 
 def check_offset_decay(g, p_max, n_blocks=5, n_top=2048):

@@ -9,6 +9,7 @@ again, on wider windows.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
 ]
 
 _SAFMIN = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 _N_MAX = 2**21
 # rows added to each side of a window beyond 3 |g| sqrt(n_hi + 1)
 _W_PAD = 64
@@ -225,19 +227,36 @@ def _operator_counts(p, M, xs):
     return fewest, most
 
 
+def _rounding_term(p, M, tol):
+    """Eigenvalue shift that rounding in a Sturm sweep over build_A(p, M) can hide.
+
+    A computed count is the exact count of a matrix whose diagonal
+    entries a_k - x move by about 2 eps |a_k - x| and whose couplings
+    move by about 2.5 eps relative.  Every x swept lies within tol/2 of
+    a Weyl bracket n - g^2 + [min c, max c] widened by 1, n < M, so
+    |a_k - x| is at most M + |c1 - c2| + g^2 + tol/2 (max |c| is added
+    as margin); each coupling is at most |g| sqrt(M) and enters the
+    norm twice.
+    """
+    g = abs(p.g)
+    cmax = max(abs(p.c1), abs(p.c2))
+    return (2.0 * _EPS * (M + abs(p.c1 - p.c2) + cmax + g * g + 0.5 * tol)
+            + 5.0 * _EPS * g * math.sqrt(M))
+
+
 def _certify(p, ns, vals, tol, M):
     """Which vals[i] lie within tol/2 of eigenvalue ns[i] of the operator.
 
     The interval around vals[i] is moved out to at least one ulp on each
     side.  It holds eigenvalue n when at most n eigenvalues lie below its
     left end and more than n below its right end.  Returns the flags and
-    the half-widths.
+    the half-widths, which include the rounding term of the counts.
     """
     x_lo = np.minimum(vals - 0.5 * tol, np.nextafter(vals, -np.inf))
     x_hi = np.maximum(vals + 0.5 * tol, np.nextafter(vals, np.inf))
     fewest, most = _operator_counts(p, M, np.concatenate([x_lo, x_hi]))
     ok = (most[: ns.size] <= ns) & (fewest[ns.size:] > ns)
-    return ok, np.maximum(vals - x_lo, x_hi - vals)
+    return ok, np.maximum(vals - x_lo, x_hi - vals) + _rounding_term(p, M, tol)
 
 
 def converged_spectrum(p, req):
@@ -248,14 +267,26 @@ def converged_spectrum(p, req):
     on M = n_hi + W + 1 rows.  Indices that fail are solved again with
     W doubled, as long as M stays within the size cap; those that still
     fail are reported through the ``converged`` flags, never silently.
-    Raises ValueError when even the first truncation exceeds the cap.
+    Raises ValueError when |c1 - c2| overflows, when even the first
+    truncation exceeds the cap, and when tol is below twice the rounding
+    term of its Sturm count, which ``est_error`` includes.
     """
+    if not math.isfinite(p.c1 - p.c2):
+        raise ValueError(
+            f"|c1 - c2| must be at most {sys.float_info.max!r}, the largest double"
+        )
     w0 = 3.0 * abs(p.g) * math.sqrt(req.n_hi + 1) + _W_PAD
     if req.n_hi + w0 + 1 > _N_MAX:
         raise ValueError(
             f"index {req.n_hi} at g={p.g!r} needs a truncation beyond {_N_MAX} rows"
         )
     W0 = W = math.ceil(w0)
+    floor = 2.0 * _rounding_term(p, req.n_hi + W0 + 1, req.tol)
+    if req.tol < floor:
+        raise ValueError(
+            f"tol {req.tol!r} is below {floor:.3g}, twice the rounding term of the "
+            f"Sturm count on {req.n_hi + W0 + 1} rows"
+        )
     ns = np.arange(req.n_lo, req.n_hi + 1)
     vals = np.empty(ns.shape)
     half = np.full(ns.shape, np.inf)

@@ -12,7 +12,6 @@ Dense matrices are plain float64 numpy arrays (row-major).
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,10 +28,13 @@ __all__ = [
     "r_tilde",
     "r_tilde_oracle_finite_sum",
     "r_tilde_oracle_sum",
+    "r_tilde_oracle_sum_block",
     "u_column",
     "u_column_mass",
+    "u_columns",
     "u_element",
     "u_element_contour",
+    "u_element_contour_block",
 ]
 
 
@@ -115,40 +117,63 @@ def u_element(n, m, g):
 def u_element_contour(n, m, g, M=256):
     """Shift-transform entry via a circular contour integral.
 
-    Trapezoid rule with M points (spectrally accurate for this analytic
-    periodic integrand).  Any circle around the origin carries the same
-    residue; for m > n the radius shrinks to the saddle value
-    g^2/(m - n), which keeps the factorial prefactor from amplifying
-    round-off of the nearly cancelling sum.  Cross-checks
-    :func:`u_element`.
+    The one-entry case of :func:`u_element_contour_block`, which
+    documents the route and its errors.
+    """
+    return float(u_element_contour_block([n], [m], g, M)[0, 0])
+
+
+def u_element_contour_block(ns, ms, g, M=256):
+    """Shift-transform entries U[n, m] for n in ns, m in ms, by contour.
+
+    Each entry is a trapezoid rule with M points on a circle around the
+    origin (spectrally accurate for this analytic periodic integrand).
+    Any circle carries the same residue; for m > n the radius shrinks to
+    the saddle value g^2/(m - n), which keeps the factorial prefactor
+    from amplifying round-off of the nearly cancelling sum.  Cross-checks
+    :func:`u_element`.  Returns a (len(ns), len(ms)) array.
 
     Raises
     ------
     ValueError
         If M < 64 or an index exceeds 30 (factorial prefactor range).
     ArithmeticError
-        If the imaginary residue exceeds 1e-8, which would indicate a
+        If an imaginary residue exceeds 1e-8, which would indicate a
         broken integrand.
     """
+    ns = np.asarray(ns, dtype=int)
+    ms = np.asarray(ms, dtype=int)
     if M < 64:
         raise ValueError(f"need at least 64 trapezoid points, got {M}")
-    if not (0 <= n <= 30 and 0 <= m <= 30):
+    if ns.size and ms.size and not (
+        0 <= min(ns.min(), ms.min()) and max(ns.max(), ms.max()) <= 30
+    ):
         raise ValueError("contour route is limited to indices <= 30")
     if g == 0.0:
-        return 1.0 if n == m else 0.0
-    r = min(1.0, g * g / (m - n)) if m > n else 1.0
-    z = r * np.exp(2j * math.pi * np.arange(M) / M)
-    mean = np.mean(z**m * (1.0 / z - 1.0) ** n * np.exp(g * g / z))
-    lpre = 0.5 * (specfun.log_gamma(m + 1.0) - specfun.log_gamma(n + 1.0)) + (
-        n - m
-    ) * math.log(abs(g))
-    sign = -1.0 if (g < 0.0 and (n - m) % 2) else 1.0
-    val = math.exp(-0.5 * g * g + lpre) * sign * mean
-    if abs(val.imag) > 1e-8:
-        raise ArithmeticError(
-            f"contour integral returned imaginary residue {val.imag:.3e}"
-        )
-    return float(val.real)
+        return (ns[:, None] == ms[None, :]).astype(float)
+    g2 = g * g
+    circle = np.exp(2j * math.pi * np.arange(M) / M)
+    lg = specfun.log_gamma
+    log_g = math.log(abs(g))
+    out = np.empty((ns.size, ms.size))
+    # one row of entries at a time keeps the work arrays at len(ms) x M
+    for i, n in enumerate(ns.tolist()):
+        r = [min(1.0, g2 / (m - n)) if m > n else 1.0 for m in ms.tolist()]
+        z = np.array(r)[:, None] * circle
+        mean = np.mean(z ** ms[:, None] * (1.0 / z - 1.0) ** n * np.exp(g2 / z), axis=1)
+        pre = [
+            math.exp(-0.5 * g2 + (0.5 * (lg(m + 1.0) - lg(n + 1.0)) + (n - m) * log_g))
+            * (-1.0 if (g < 0.0 and (n - m) % 2) else 1.0)
+            for m in ms.tolist()
+        ]
+        val = np.array(pre) * mean
+        bad = np.flatnonzero(np.abs(val.imag) > 1e-8)
+        if bad.size:
+            raise ArithmeticError(
+                f"contour integral returned imaginary residue {val.imag[bad[0]]:.3e}"
+            )
+        out[i] = val.real
+    return out
 
 
 def r_tilde(k, m, g):
@@ -168,27 +193,41 @@ def r_tilde(k, m, g):
 
 
 def r_tilde_oracle_sum(k, m, g, K):
+    """Conjugation route for one entry of Rt, truncated at K.
+
+    The one-entry case of :func:`r_tilde_oracle_sum_block`.
+    """
+    return float(r_tilde_oracle_sum_block([k], [m], g, K)[0, 0])
+
+
+def r_tilde_oracle_sum_block(ks, ms, g, K):
     """Conjugation route: sum_n (-1)^n U[n, k] U[n, m] truncated at K.
 
-    The neglected tail is bounded through column orthonormality as
-    1 - (partial mass).  The measured defect carries ~3e-14 of
-    recurrence round-off even when the true tail is negligible, so the
-    call refuses truncations whose defect exceeds 1e-13; accepted
-    truncations keep the comparison certified far below 1e-9.
+    Returns the (len(ks), len(ms)) block for k in ks, m in ms; each U
+    column is built once.  The neglected tail of a column is bounded
+    through orthonormality as 1 - (partial mass).  The measured defect
+    carries ~3e-14 of recurrence round-off even when the true tail is
+    negligible, so the call refuses a truncation where any entry's two
+    column defects add up to 1e-13 or more; accepted truncations keep
+    the comparison certified far below 1e-9.
     """
+    ks = np.asarray(ks, dtype=int)
+    ms = np.asarray(ms, dtype=int)
     if g == 0.0:
-        return (-1.0 if k % 2 else 1.0) if k == m else 0.0
-    uk = u_column(k, g, K)
-    um = uk if m == k else u_column(m, g, K)
-    defect = max(0.0, 1.0 - math.fsum(v * v for v in uk)) + max(
-        0.0, 1.0 - math.fsum(v * v for v in um)
-    )
-    if defect >= 1e-13:
-        raise ValueError(
-            f"truncation K={K} leaves estimated tail {defect:.2e} >= 1e-13"
-        )
-    signs = parity_diag(K + 1)
-    return float(np.sum(signs * uk * um))
+        eq = ks[:, None] == ms[None, :]
+        return np.where(eq, np.where(ks % 2 == 1, -1.0, 1.0)[:, None], 0.0)
+    idx, inv = np.unique(np.concatenate([ks, ms]), return_inverse=True)
+    cols = np.ascontiguousarray(u_columns(idx, g, K).T)
+    defect = np.array([max(0.0, 1.0 - math.fsum(c * c)) for c in cols])
+    ik, im = inv[: ks.size], inv[ks.size :]
+    if ks.size and ms.size:
+        worst = defect[ik].max() + defect[im].max()
+        if worst >= 1e-13:
+            raise ValueError(
+                f"truncation K={K} leaves estimated tail {worst:.2e} >= 1e-13"
+            )
+    signed = parity_diag(K + 1) * cols[ik]
+    return np.sum(signed[:, None, :] * cols[im][None, :, :], axis=-1)
 
 
 def r_tilde_oracle_finite_sum(k, m, g):
@@ -196,22 +235,25 @@ def r_tilde_oracle_finite_sum(k, m, g):
 
     Terms with a negative factorial argument are zero by convention.
     The alternating body cancels up to ~8 digits at moderate coupling,
-    so it is accumulated in exact rational arithmetic on the float
-    value of 4 g^2 and rounded once; the outer prefactor stays in the
-    log domain.  Limited to k, m <= 40.
+    so it is summed exactly: 4 g^2 = a/d with d a power of two, and
+    every term is an integer over the common denominator m! d^k.  One
+    correctly rounded division gives the body; the outer prefactor
+    stays in the log domain.  Limited to k, m <= 40.
     """
     if not (0 <= k <= 40 and 0 <= m <= 40):
         raise ValueError("finite-sum route is limited to indices <= 40")
     if g == 0.0:
         return (-1.0 if k % 2 else 1.0) if k == m else 0.0
     x = 4.0 * g * g
-    xq = Fraction(x)
-    body = Fraction(0)
-    for i in range(k + 1):
-        if i + m - k < 0:
-            continue
-        term = Fraction(math.comb(k, i), math.factorial(i + m - k)) * xq**i
-        body += -term if i % 2 else term
+    a, d = x.as_integer_ratio()
+    m_fact = math.factorial(m)
+    # term i: C(k, i) x^i / (i + m - k)!
+    #       = C(k, i) a^i d^(k - i) (m! / (i + m - k)!) / (m! d^k)
+    num = 0
+    for i in range(max(0, k - m), k + 1):
+        term = math.comb(k, i) * a**i * d ** (k - i) * (m_fact // math.factorial(i + m - k))
+        num += -term if i % 2 else term
+    body = num / (m_fact * d**k)
     lg = specfun.log_gamma
     lpre = -0.5 * x + 0.5 * (lg(m + 1.0) - lg(k + 1.0)) + (m - k) * math.log(
         abs(2.0 * g)
@@ -219,28 +261,33 @@ def r_tilde_oracle_finite_sum(k, m, g):
     sign = -1.0 if k % 2 else 1.0
     if 2.0 * g < 0.0 and (m - k) % 2:
         sign = -sign
-    return sign * math.exp(lpre) * float(body)
+    return sign * math.exp(lpre) * body
 
 
 def u_column(n, g, k_max):
     """Column n of the shift transform, entries 0..k_max."""
-    if n < 0 or k_max < 0:
+    return u_columns([n], g, k_max)[:, 0]
+
+
+def u_columns(ns, g, k_max):
+    """Columns ns of the shift transform, entries 0..k_max.
+
+    Returns a (k_max + 1, len(ns)) array read off one Laguerre table:
+    U[k, n] is W[k, n - k] for k <= n and (-1)^(k - n) W[n, k - n] below.
+    """
+    ns = np.asarray(ns, dtype=int)
+    if (ns.size and ns.min() < 0) or k_max < 0:
         raise ValueError("indices must be nonnegative")
+    ks = np.arange(k_max + 1)[:, None]
     if g == 0.0:
-        col = np.zeros(k_max + 1)
-        if n <= k_max:
-            col[n] = 1.0
-        return col
-    x = g * g
-    top = min(n, k_max)
-    w = specfun.laguerre_function_table(top, max(n, k_max - n), x)
-    col = np.empty(k_max + 1)
-    ks = np.arange(top + 1)
-    col[: top + 1] = w[ks, n - ks]
-    if k_max > n:
-        ks = np.arange(n + 1, k_max + 1)
-        col[n + 1 :] = np.where((ks - n) % 2 == 1, -1.0, 1.0) * w[n, ks - n]
-    return col
+        return (ks == ns[None, :]).astype(float)
+    if ns.size == 0:
+        return np.empty((k_max + 1, 0))
+    n_lo, n_hi = int(ns.min()), int(ns.max())
+    w = specfun.laguerre_function_table(min(n_hi, k_max), max(n_hi, k_max - n_lo), g * g)
+    cols = w[np.minimum(ks, ns), np.abs(ks - ns)]
+    cols[(ks > ns) & ((ks - ns) % 2 == 1)] *= -1.0
+    return cols
 
 
 def u_column_mass(n, g, tol=1e-10, k_start=None):

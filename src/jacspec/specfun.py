@@ -47,6 +47,11 @@ _SQRT_2PI = 2.5066282746310005
 # normalized downward recurrence takes over
 _BESSEL_SERIES_CUTOFF = 12.0
 
+# Laguerre tables with at least this many rows run in degree blocks ...
+_BLOCK_MIN_ROWS = 1024
+# ... of at most this many lanes (blocks x orders) per recurrence step
+_BLOCK_LANES = 1024
+
 
 def log_gamma(z):
     """Natural log of the gamma function for real z > 0.
@@ -179,15 +184,95 @@ def laguerre_function_table(n_max, s_max, x):
     0 <= p <= s_max.  Entries whose recurrence seed underflows double
     precision come out exactly zero; every consumer in this package
     aggregates squares, where that is harmless.
+
+    Tables of fewer than 1024 rows run the degree recurrence row by
+    row, bit for bit as ``_laguerre_function_rows``.  Taller ones split
+    the degree axis into B ~ sqrt(rows) blocks, with B (s_max + 1) at
+    most 1024 lanes, that all advance at once.  A first pass carries the
+    basis states (w_{t-1}, w_t) = (1, 1) and (0, 1) through every block.
+    Chaining the block transfer maps gives each block's true starting
+    state, and a second pass reruns every block from it straight into
+    the output.  Forward recurrence is stable for this family, so the
+    blocks keep the accuracy of the row recurrence.
     """
     if x <= 0.0:
         raise ValueError(f"laguerre_function_table requires x > 0, got {x}")
     if n_max < 0 or s_max < 0:
         raise ValueError("table extents must be nonnegative")
-    w = np.empty((n_max + 1, s_max + 1))
-    for j, row in enumerate(_laguerre_function_rows(n_max, s_max, x)):
-        w[j] = row
+    p = np.arange(s_max + 1, dtype=float)
+    blocks = 1
+    if n_max + 1 >= _BLOCK_MIN_ROWS:
+        blocks = max(1, min(math.isqrt(n_max + 1), _BLOCK_LANES // p.size))
+    w = _blocked_table(n_max, p, x, blocks)
+    if w is None:
+        # a basis state overflowed deep in the growth region of a huge x
+        w = _blocked_table(n_max, p, x, 1)
     return w
+
+
+def _blocked_table(n_max, p, x, blocks):
+    # Steps k = 1 .. n_max - 1 give rows 2 .. n_max.  Block b takes the
+    # L steps from degree 1 + b L; rows past n_max are scratch.  Returns
+    # None if a basis state of the first pass overflows.
+    L = -(-max(n_max - 1, 0) // blocks)
+    out = np.empty((2 + blocks * L, p.size))
+    out[0], out[1] = _laguerre_head(p, x)
+    k = 1.0 + L * np.arange(blocks, dtype=float)[:, None]
+    prev, cur = out[0], out[1]
+    if blocks > 1:
+        # slot 0 carries (1, 1) and slot 1 carries (0, 1), except in
+        # block 0, whose slot 0 carries its true state
+        bp = np.zeros((2, blocks, p.size))
+        bc = np.ones((2, blocks, p.size))
+        bp[0] = 1.0
+        bp[0, 0], bc[0, 0] = prev, cur
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b, c in _laguerre_steps(k, p, x, L):
+                bp, bc = bc, (a * bc - b * bp) / c
+        if not (np.isfinite(bp).all() and np.isfinite(bc).all()):
+            return None
+        prev = np.empty((blocks, p.size))
+        cur = np.empty((blocks, p.size))
+        prev[0], cur[0] = out[0], out[1]
+        u, v = bp[0, 0], bc[0, 0]
+        for i in range(1, blocks):
+            # (u, v) = u (1, 1) + (v - u) (0, 1)
+            prev[i], cur[i] = u, v
+            d = v - u
+            u, v = u * bp[0, i] + d * bp[1, i], u * bc[0, i] + d * bc[1, i]
+    body = out[2:].reshape(blocks, L, p.size)
+    for j, (a, b, c) in enumerate(_laguerre_steps(k, p, x, L)):
+        prev, cur = cur, (a * cur - b * prev) / c
+        body[:, j] = cur
+    return out[: n_max + 1]
+
+
+def _laguerre_head(p, x):
+    """Rows 0 and 1 of the table: the seed and the special k = 0 step."""
+    w0 = np.exp(-0.5 * x + 0.5 * p * np.log(x) - 0.5 * _log_gamma_arr(p + 1.0))
+    return w0, (p + 1.0 - x) / np.sqrt(p + 1.0) * w0
+
+
+def _laguerre_steps(k, p, x, steps):
+    """Coefficients (a, b, c) of the degree steps k, k + 1, ..., k + steps - 1.
+
+    Step k of the normalized recurrence is w_{k+1} = (a w_k - b w_{k-1}) / c
+    with a = 2k + p + 1 - x, b = sqrt(k (k + p)), c = sqrt((k + 1) (k + p + 1)).
+    k >= 1 is an integer or a column of integer-valued floats, one per
+    block.  Every sum and product before the final subtraction and
+    square roots is an exact integer, so the coefficients round the same
+    way whichever form k takes, and c of one step is b of the next.
+    """
+    a = 2 * k + p + 1
+    kp = k + p
+    b = np.sqrt(k * kp)
+    for _ in range(steps):
+        k = k + 1
+        kp = kp + 1
+        c = np.sqrt(k * kp)
+        yield a - x, b, c
+        a = a + 2
+        b = c
 
 
 def _laguerre_function_rows(n_max, s_max, x):
@@ -198,39 +283,55 @@ def _laguerre_function_rows(n_max, s_max, x):
     checked here.
     """
     p = np.arange(s_max + 1, dtype=float)
-    prev = np.exp(-0.5 * x + 0.5 * p * np.log(x) - 0.5 * _log_gamma_arr(p + 1.0))
+    prev, cur = _laguerre_head(p, x)
     yield prev
     if n_max == 0:
         return
-    cur = (p + 1.0 - x) / np.sqrt(p + 1.0) * prev
     yield cur
-    for k in range(1, n_max):
-        prev, cur = cur, ((2 * k + p + 1 - x) * cur - np.sqrt(k * (k + p)) * prev) / np.sqrt(
-            (k + 1) * (k + p + 1)
-        )
+    for a, b, c in _laguerre_steps(1, p, x, n_max - 1):
+        prev, cur = cur, (a * cur - b * prev) / c
         yield cur
 
 
-def bessel_j(s, x):
+def bessel_j(s, x, all_orders=False):
     """Bessel function of the first kind, integer order s >= 0, x >= 0.
 
     Ascending series for x <= 12, otherwise a normalized downward
     (Miller) recurrence closed with the even-order sum rule.
+
+    With ``all_orders``, returns J_0(x), ..., J_s(x) as an array of
+    length s + 1: each order takes its own series for x <= 12, and
+    beyond, one Miller recurrence started above max(s, x) yields every
+    order.  Entry k equals ``bessel_j(k, x)`` bit for bit wherever that
+    call starts its recurrence at the same degree: for x <= 12, for
+    ceil(x) >= s, and for k = s.  Elsewhere they agree to rounding.
 
     Raises
     ------
     ValueError
         If x < 0 or s < 0.
     """
+    _check_bessel_args(s, x)
+    if not all_orders:
+        if x == 0.0:
+            return 1.0 if s == 0 else 0.0
+        if x <= _BESSEL_SERIES_CUTOFF:
+            return _bessel_series(s, x)
+        return float(_bessel_miller(s, x)[s])
+    if x == 0.0:
+        out = np.zeros(s + 1)
+        out[0] = 1.0
+        return out
+    if x <= _BESSEL_SERIES_CUTOFF:
+        return np.array([_bessel_series(k, x) for k in range(s + 1)])
+    return _bessel_miller(s, x)
+
+
+def _check_bessel_args(s, x):
     if s < 0:
         raise ValueError(f"order must be nonnegative, got {s}")
     if x < 0.0:
         raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if s == 0 else 0.0
-    if x <= _BESSEL_SERIES_CUTOFF:
-        return _bessel_series(s, x)
-    return _bessel_miller(s, x)
 
 
 def _bessel_series(s, x):
@@ -252,15 +353,16 @@ def _bessel_series(s, x):
     return math.fsum(terms)
 
 
-def _bessel_miller(s, x):
-    base = max(s, int(math.ceil(x)))
+def _bessel_miller(s_max, x):
+    # orders 0..s_max from one downward recurrence; m is even
+    base = max(s_max, int(math.ceil(x)))
     m = base + int(2.0 * math.sqrt(40.0 * (base + 2))) + 20
     if m % 2:
         m += 1
     jp = 0.0                      # J_{k+1}, unnormalized
     jc = 1.0e-30                  # J_k at k = m
-    even_sum = jc if m % 2 == 0 else 0.0
-    saved = jc if s == m else 0.0
+    even_sum = jc
+    saved = [0.0] * (s_max + 1)
     for k in range(m, 0, -1):
         jm = (2.0 * k) / x * jc - jp
         jp = jc
@@ -270,13 +372,14 @@ def _bessel_miller(s, x):
             jc *= 1e-250
             jp *= 1e-250
             even_sum *= 1e-250
-            saved *= 1e-250
-        if kk == s:
-            saved = jc
+            saved = [v * 1e-250 for v in saved]
+        if kk <= s_max:
+            saved[kk] = jc
         if kk != 0 and kk % 2 == 0:
             even_sum += jc
     # sum rule: J_0 + 2*(J_2 + J_4 + ...) = 1
-    return saved / (jc + 2.0 * even_sum)
+    norm = jc + 2.0 * even_sum
+    return np.array([v / norm for v in saved])
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,36 @@ class TestFitDecay:
         assert fit.alpha == pytest.approx(0.25, abs=0.05)
 
 
+def dyadic_block_maxima_loop(ns, values):
+    """The per-element loop that the vectorized maxima must reproduce."""
+    out = {}
+    for n, v in zip(np.asarray(ns), np.abs(np.asarray(values, dtype=float))):
+        if n < 1:
+            continue
+        j = int(math.floor(math.log2(n)))
+        out[j] = max(out.get(j, 0.0), v)
+    return out
+
+
 class TestDyadicBlocks:
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=-3, max_value=2**40),
+                      st.floats(min_value=-1e6, max_value=1e6)),
+            max_size=60,
+        )
+    )
+    def test_vectorized_matches_loop(self, pairs):
+        ns = np.array([n for n, _ in pairs], dtype=np.int64)
+        vals = np.array([v for _, v in pairs])
+        assert asymptotics.dyadic_block_maxima(ns, vals) == dyadic_block_maxima_loop(ns, vals)
+
+    def test_unsorted_indices(self):
+        ns = np.array([9, 1, 12, 3, 2, 8, 0])
+        vals = np.array([0.5, 1.0, -4.0, 2.0, 3.0, 0.25, 9.0])
+        assert asymptotics.dyadic_block_maxima(ns, vals) == {0: 1.0, 1: 3.0, 3: 4.0}
+        assert asymptotics.dyadic_block_maxima([0, -1], [1.0, 2.0]) == {}
+
     def test_maxima_by_block(self):
         ns = np.array([1, 2, 3, 4, 5, 8, 15, 16])
         vals = np.array([1.0, -2.0, 1.5, 0.5, -0.25, 0.1, 0.2, 3.0])

@@ -60,6 +60,23 @@ class TestSpectrumCommand:
         assert code == 1
         assert "truncation" in err
 
+    def test_overflowing_shift_difference_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["spectrum", "--c1", "1e308", "--c2=-1e308", "--n", "0:2"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "|c1 - c2|" in err and "1.7976931348623157e+308" in err
+        assert "Traceback" not in err
+
+    def test_tol_below_count_rounding_exits_one(self, capsys):
+        code, _, err = run_cli(
+            ["spectrum", "--g", "0.5", "--c1", "1", "--c2", "0", "--n", "4090:4095",
+             "--tol", "1e-12"], capsys
+        )
+        assert code == 1
+        assert "rounding term" in err
+
     def test_invalid_range_exits_one(self, capsys):
         code, _, err = run_cli(["spectrum", "--n", "5:3"], capsys)
         assert code == 1

@@ -228,6 +228,37 @@ class TestConvergedSpectrum:
         assert not sl.converged[wrong].any()
         assert np.all(np.isinf(sl.est_error[~sl.converged]))
 
+    def test_est_error_covers_count_rounding(self):
+        # tol/2 alone (5e-12) is near one ulp of 4096; the reported
+        # half-width adds the rounding term of the Sturm count
+        p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
+        tol = 1e-11
+        sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(4090, 4095, tol))
+        assert sl.converged.all()
+        rho = eigensolve._rounding_term(p, sl.truncation_N, 1e-11)
+        assert rho > 1e-12
+        assert np.all(sl.est_error >= 0.5 * tol + rho)
+        assert np.all(sl.est_error <= tol)
+        # LAPACK bisection; the default MRRR driver is itself off by up to
+        # 7e-12 here
+        big = model.build_A(p, 4095 + 401)
+        ref = eigvalsh_tridiagonal(big.diag, big.off, select="i",
+                                   select_range=(4090, 4095), lapack_driver="stebz")
+        assert np.all(np.abs(sl.values - ref) <= sl.est_error)
+
+    def test_tol_below_count_rounding_is_refused(self):
+        p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
+        with pytest.raises(ValueError, match="rounding term"):
+            eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(4090, 4095, 1e-12))
+        # low indices keep the full tol range
+        sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(0, 5, 1e-12))
+        assert sl.converged.all() and np.all(sl.est_error <= 1e-12)
+
+    def test_overflowing_shift_difference_is_refused(self):
+        p = model.ModelParams(g=0.5, c1=1e308, c2=-1e308)
+        with pytest.raises(ValueError, match="c1 - c2"):
+            eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(0, 2, 1e-8))
+
     def test_beyond_size_cap_is_refused(self):
         p = model.ModelParams(g=1e200)
         with pytest.raises(ValueError, match="truncation"):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ class TestUElement:
             assert 1.0 - 1e-10 <= mass <= 1.0 + 1e-12
             assert k_used >= n
 
+    @pytest.mark.parametrize("g", [0.0, 0.3, -1.1])
+    def test_columns_match_single_columns(self, g):
+        ns = [0, 5, 40, 120]
+        cols = model.u_columns(ns, g, 100)
+        assert cols.shape == (101, 4)
+        for i, n in enumerate(ns):
+            assert np.array_equal(cols[:, i], model.u_column(n, g, 100))
+            for k in (0, 3, 40, 77, 100):
+                assert cols[k, i] == pytest.approx(model.u_element(k, n, g), abs=1e-14)
+
     def test_partial_masses_monotone_and_bounded(self):
         g, n = 0.7, 25
         masses = []
@@ -142,6 +153,45 @@ class TestRTilde:
                 prev = cur
 
 
+def conjugation_sum_reference(k, m, g, K):
+    """One entry of the conjugation route from two separately built columns."""
+    if g == 0.0:
+        return (-1.0 if k % 2 else 1.0) if k == m else 0.0
+    uk, um = model.u_column(k, g, K), model.u_column(m, g, K)
+    return float(np.sum(model.parity_diag(K + 1) * uk * um))
+
+
+def contour_reference(n, m, g, M=256):
+    """One shift-transform entry by contour, with its own trapezoid sum."""
+    if g == 0.0:
+        return 1.0 if n == m else 0.0
+    r = min(1.0, g * g / (m - n)) if m > n else 1.0
+    z = r * np.exp(2j * math.pi * np.arange(M) / M)
+    mean = np.mean(z**m * (1.0 / z - 1.0) ** n * np.exp(g * g / z))
+    lg = specfun.log_gamma
+    lpre = 0.5 * (lg(m + 1.0) - lg(n + 1.0)) + (n - m) * math.log(abs(g))
+    sign = -1.0 if (g < 0.0 and (n - m) % 2) else 1.0
+    return float((math.exp(-0.5 * g * g + lpre) * sign * mean).real)
+
+
+def finite_sum_reference(k, m, g):
+    """The residue route with its alternating body in Fraction arithmetic."""
+    if g == 0.0:
+        return (-1.0 if k % 2 else 1.0) if k == m else 0.0
+    x = 4.0 * g * g
+    body = Fraction(0)
+    for i in range(k + 1):
+        if i + m - k >= 0:
+            term = Fraction(math.comb(k, i), math.factorial(i + m - k)) * Fraction(x) ** i
+            body += -term if i % 2 else term
+    lg = specfun.log_gamma
+    lpre = -0.5 * x + 0.5 * (lg(m + 1.0) - lg(k + 1.0)) + (m - k) * math.log(abs(2.0 * g))
+    sign = -1.0 if k % 2 else 1.0
+    if g < 0.0 and (m - k) % 2:
+        sign = -sign
+    return sign * math.exp(lpre) * float(body)
+
+
 class TestRTildeOracles:
     def test_sum_corner(self):
         g = 0.6
@@ -185,6 +235,44 @@ class TestRTildeOracles:
     def test_finite_sum_caps(self):
         with pytest.raises(ValueError):
             model.r_tilde_oracle_finite_sum(41, 2, 0.5)
+
+    @pytest.mark.parametrize("g", [0.0, -0.7, 0.3, 2.0])
+    def test_blocks_equal_per_entry_calls(self, g):
+        idx = np.arange(21)
+        contour = model.u_element_contour_block(idx, idx, g, 256)
+        conj = model.r_tilde_oracle_sum_block(idx, idx, g, 100)
+        for k in range(21):
+            for m in range(21):
+                # integer powers of a whole column of radii may round
+                # differently from a scalar power
+                assert abs(contour[k, m] - contour_reference(k, m, g, 256)) <= 1e-15
+                assert conj[k, m] == model.r_tilde_oracle_sum(k, m, g, 100)
+                assert conj[k, m] == conjugation_sum_reference(k, m, g, 100)
+        # rectangular blocks pick the same entries
+        ks, ms = np.array([3, 0, 17]), np.array([20, 5])
+        assert np.array_equal(model.u_element_contour_block(ks, ms, g, 256),
+                              contour[np.ix_(ks, ms)])
+        assert np.array_equal(model.r_tilde_oracle_sum_block(ks, ms, g, 100),
+                              conj[np.ix_(ks, ms)])
+
+    def test_block_refuses_if_any_entry_would(self):
+        # column 30 at g = 1.2 leaves too much mass beyond K = 31
+        with pytest.raises(ValueError, match="1e-13"):
+            model.r_tilde_oracle_sum_block([0, 1], [2, 30], 1.2, 31)
+        model.r_tilde_oracle_sum_block([0, 1], [2, 3], 1.2, 31)
+
+    def test_contour_block_caps(self):
+        with pytest.raises(ValueError, match="30"):
+            model.u_element_contour_block([0, 31], [2], 0.5)
+        with pytest.raises(ValueError, match="64"):
+            model.u_element_contour_block([0], [2], 0.5, M=63)
+
+    @pytest.mark.parametrize("g", [0.3, -0.7, 1e-3, 2.0, 5.5])
+    def test_finite_sum_matches_rational_reference(self, g):
+        for k in range(0, 41, 3):
+            for m in range(0, 41, 4):
+                assert model.r_tilde_oracle_finite_sum(k, m, g) == \
+                    finite_sum_reference(k, m, g)
 
     @settings(max_examples=25)
     @given(

@@ -199,6 +199,69 @@ class TestLaguerreFunction:
             specfun.laguerre_function_table(4, 4, 0.0)
 
 
+def laguerre_function_mp(n, s, x):
+    """Orthonormal Laguerre function in extended precision."""
+    with mp.workdps(30):
+        return float(
+            mp.sqrt(mp.factorial(n) / mp.factorial(n + s))
+            * mp.exp(-mp.mpf(x) / 2)
+            * mp.mpf(x) ** (mp.mpf(s) / 2)
+            * mp.laguerre(n, s, x, maxprec=30000)
+        )
+
+
+def row_table(n_max, s_max, x):
+    return np.array(list(specfun._laguerre_function_rows(n_max, s_max, x)))
+
+
+class TestBlockedTable:
+    @pytest.mark.parametrize(
+        "n_max, s_max, x",
+        [(10**5, 1, 0.36), (10**5, 1, 1.0), (10**5, 1, 17.64), (2048, 5, 1.44),
+         (4095, 0, 1.0)],
+    )
+    def test_blocked_error_within_twice_row_recurrence(self, n_max, s_max, x):
+        # tall tables run in degree blocks; against mpmath on 129 rows from
+        # 0 to n_max, their worst error may be at most twice that of the
+        # row-by-row recurrence on the same rows
+        ns = np.unique(np.linspace(0, n_max, 129).astype(int))
+        ref = np.array([[laguerre_function_mp(int(n), s, x) for s in range(s_max + 1)]
+                        for n in ns])
+        blocked = specfun.laguerre_function_table(n_max, s_max, x)
+        rows = row_table(n_max, s_max, x)
+        err_blocked = np.abs(blocked[ns] - ref).max()
+        err_rows = np.abs(rows[ns] - ref).max()
+        assert err_blocked <= 2.0 * err_rows
+
+    @pytest.mark.parametrize(
+        "n_max, s_max, x",
+        [(0, 3, 1.0), (1, 3, 1.0), (2, 0, 0.5), (1022, 3, 1.0), (1022, 0, 17.64),
+         (300, 300, 2.0), (1500, 1500, 3.0), (50, 7, 40.0)],
+    )
+    def test_single_block_is_the_row_recurrence(self, n_max, s_max, x):
+        # below 1024 rows, or with too many orders to split, B = 1
+        assert np.array_equal(
+            specfun.laguerre_function_table(n_max, s_max, x), row_table(n_max, s_max, x)
+        )
+
+    def test_block_boundaries_are_continuous(self):
+        # rows next to each block start follow the recurrence to rounding
+        w = specfun.laguerre_function_table(5000, 2, 1.0)
+        assert w.shape == (5001, 3)
+        rows = row_table(5000, 2, 1.0)
+        assert np.abs(w - rows).max() < 1e-13
+
+    def test_huge_argument_falls_back_to_one_block(self):
+        # deep in the growth region the basis states of a block overflow;
+        # the table must then still equal the row recurrence
+        n_max, s_max, x = 10000, 3, 1e5
+        p = np.arange(s_max + 1, dtype=float)
+        assert specfun._blocked_table(n_max, p, x, 100) is None
+        w = specfun.laguerre_function_table(n_max, s_max, x)
+        assert np.isfinite(w).all()
+        assert np.array_equal(w, row_table(n_max, s_max, x))
+
+
 class TestBesselJ:
     def test_at_origin(self):
         assert specfun.bessel_j(0, 0.0) == 1.0
@@ -236,6 +299,37 @@ class TestBesselJ:
             ref = float(mp.besselj(s, x))
         got = specfun.bessel_j(s, x)
         assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-4)
+
+    def test_frozen_miller_values(self):
+        # single-order Miller values, bit for bit, from before the all-orders form
+        for s, x, want in [(0, 50.0, 0.05581232766925183),
+                           (20, 13.5, 0.0016000195007283967),
+                           (7, 100.0, 0.07017269098721278),
+                           (1, 12.5, -0.16548380461475967),
+                           (50, 999.0, -0.022858940107097686)]:
+            assert specfun.bessel_j(s, x) == want
+
+    @pytest.mark.parametrize("s_max", [0, 5, 20, 50])
+    def test_orders_match_single_order_calls(self, s_max):
+        # bit for bit where both start the Miller recurrence at the same
+        # degree (and for the series); to rounding where the single-order
+        # call starts lower
+        for x in list(np.logspace(-1, 3, 97)) + [0.0, 12.0, 13.5, 20.0]:
+            x = float(x)
+            got = specfun.bessel_j(s_max, x, all_orders=True)
+            assert got.shape == (s_max + 1,)
+            for s in range(s_max + 1):
+                want = specfun.bessel_j(s, x)
+                if x <= 12.0 or math.ceil(x) >= s_max or s == s_max:
+                    assert got[s] == want, (s, x)
+                else:
+                    assert abs(got[s] - want) <= 1e-14, (s, x)
+
+    def test_orders_domain(self):
+        with pytest.raises(ValueError):
+            specfun.bessel_j(-1, 1.0, all_orders=True)
+        with pytest.raises(ValueError):
+            specfun.bessel_j(3, -1.0, all_orders=True)
 
     def test_bounded_by_one(self):
         xs = np.linspace(0.0, 1000.0, 211)
