@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the golden `verify` and `oracle` outputs that tests/test_golden.py reads.
+"""Write the golden CLI outputs that tests/test_golden.py reads.
 
 Runs each command at its defaults for every coupling in GOLDEN_G, in CSV
 and in JSON, and writes `<command>_g<g>.<format>` into the output
@@ -15,7 +15,7 @@ import pathlib
 from jacspec import cli
 
 GOLDEN_G = ("0", "0.3", "0.5", "1.2", "2.0")
-COMMANDS = ("verify", "oracle")
+COMMANDS = ("spectrum", "asymptotics", "verify", "oracle")
 FORMATS = ("csv", "json")
 
 

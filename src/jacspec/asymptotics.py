@@ -22,7 +22,6 @@ __all__ = [
     "dyadic_block_maxima",
     "first_order",
     "fit_decay",
-    "remainder_s",
     "remainder_s_sweep",
     "residual_table",
 ]
@@ -55,16 +54,25 @@ class DecayFit:
 
 
 def first_order(n, p):
-    """Leading asymptote n - g^2 + (c1 + c2)/2."""
+    """Leading asymptote n - g^2 + (c1 + c2)/2, for an index or an index array."""
     return n - p.g * p.g + 0.5 * (p.c1 + p.c2)
 
 
 def diagonal_correction(n, p):
-    """Second term: (c1 - c2)/2 times the conjugated-parity diagonal."""
-    sign = -1.0 if n % 2 else 1.0
-    if p.g == 0.0:
-        return 0.5 * (p.c1 - p.c2) * sign
-    return 0.5 * (p.c1 - p.c2) * sign * specfun.laguerre_function(n, 0, 4.0 * p.g * p.g)
+    """Second term: (c1 - c2)/2 times the conjugated-parity diagonal.
+
+    For an index or an index array.  The diagonal (-1)^n W[n, 0] at
+    x = 4 g^2 is read off one Laguerre table up to the largest index.
+    """
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError("indices must be nonnegative")
+    parity = np.where(n % 2 == 1, -1.0, 1.0)
+    if p.g != 0.0:
+        parity = parity * specfun.laguerre_function_table(
+            int(n.max()), 0, 4.0 * p.g * p.g
+        )[n, 0]
+    return 0.5 * (p.c1 - p.c2) * parity
 
 
 def _order_cap(x, hard_cap):
@@ -74,18 +82,6 @@ def _order_cap(x, hard_cap):
     seed_log = -0.5 * x + 0.5 * p * np.log(x) - 0.5 * specfun._log_gamma_arr(p + 1.0)
     dead = np.nonzero(seed_log < math.log(5e-324))[0]
     return int(p[dead[0]]) if dead.size else hard_cap
-
-
-def remainder_s(n, g, eps_tail=1e-8):
-    """Remainder column norm s_n with a certified tail bound.
-
-    The one-index case of ``remainder_s_sweep``.  Returns
-    (s_n, 1/K^2).
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    s, tail = remainder_s_sweep([n], g, eps_tail)
-    return float(s[0]), float(tail[0])
 
 
 def remainder_s_sweep(ns, g, eps_tail=1e-8):
@@ -130,15 +126,8 @@ def residual_table(p, n_lo, n_hi, tol=1e-8, eps_tail=1e-8):
         warnings.warn("g = 0: residuals compare a purely diagonal operator")
     spectrum = converged_spectrum(p, SpectralRequest(n_lo=n_lo, n_hi=n_hi, tol=tol))
     ns = np.arange(n_lo, n_hi + 1)
-    fo = ns - p.g * p.g + 0.5 * (p.c1 + p.c2)
-    sign = np.where(ns % 2 == 1, -1.0, 1.0)
-    if p.g == 0.0:
-        parity_term = sign
-    else:
-        parity_term = sign * specfun.laguerre_function_table(n_hi, 0, 4.0 * p.g * p.g)[
-            ns, 0
-        ]
-    dc = 0.5 * (p.c1 - p.c2) * parity_term
+    fo = first_order(ns, p)
+    dc = diagonal_correction(ns, p)
     s_vals, s_tails = remainder_s_sweep(ns, p.g, eps_tail)
     rows = []
     for i, n in enumerate(ns):

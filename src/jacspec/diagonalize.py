@@ -23,7 +23,6 @@ __all__ = [
     "check_bessel_bound",
     "check_laguerre_bound",
     "check_offset_decay",
-    "s_n_as_k_column",
     "verify_similarity",
 ]
 
@@ -104,13 +103,6 @@ def verify_similarity(bundle):
     )
     h = n // 2
     return float(np.max(np.abs((left - right)[:h, :h])))
-
-
-def s_n_as_k_column(bundle, n):
-    """Euclidean norm of column n of K over the truncation."""
-    if not 0 <= n < bundle.N // 2:
-        raise IndexError(f"column {n} outside the interior of N={bundle.N}")
-    return float(np.linalg.norm(bundle.K[:, n]))
 
 
 def check_bessel_bound(s_max, x_grid):
@@ -204,8 +196,8 @@ def check_offset_decay(g, p_max, n_blocks=5, n_top=2048):
     """Dyadic-block decay of the fixed-offset diagonals of Rt.
 
     For every offset |p| <= p_max the block maxima of |Rt[n, n+p]| over
-    the last n_blocks dyadic blocks below n_top must not increase; a
-    block ratio above 1 is a violation.  Not applicable at g = 0, where
+    the last n_blocks dyadic blocks below n_top must decrease; a block
+    ratio of 1 or more is a violation.  Not applicable at g = 0, where
     the matrix is the constant-diagonal parity.
     """
     if p_max < 1:
@@ -235,7 +227,7 @@ def check_offset_decay(g, p_max, n_blocks=5, n_top=2048):
         for j in range(j_lo, j_hi):
             ratio = maxima[j + 1] / maxima[j]
             worst = max(worst, ratio)
-            if ratio > 1.0:
+            if ratio >= 1.0:
                 violations.append({"p": p, "block": j + 1, "ratio": float(ratio)})
     return BoundCheckReport(
         lemma_id="offset_decay",

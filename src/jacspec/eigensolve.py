@@ -1,11 +1,10 @@
-"""Index-addressed eigenvalues of symmetric tridiagonal matrices.
+"""Index-addressed eigenvalues of the infinite operator.
 
-Sturm-sequence bisection only, no eigenvectors.  ``converged_spectrum``
-finds each requested eigenvalue of the infinite operator by multisection
-on a window of rows around its index, then certifies every result with
-one Sturm sweep over a truncation plus a bound on the infinite tail
-beyond it.  Only the indices that fail the certificate are solved
-again, on wider windows.
+Sturm-sequence counts only, no eigenvectors.  ``converged_spectrum``
+finds each requested eigenvalue by multisection on a window of rows
+around its index, then certifies every result with one Sturm sweep over
+a truncation plus a bound on the infinite tail beyond it.  Only the
+indices that fail the certificate are solved again, on wider windows.
 """
 
 import math
@@ -20,8 +19,6 @@ __all__ = [
     "SpectralRequest",
     "SpectrumSlice",
     "converged_spectrum",
-    "eigenvalue_by_index",
-    "sturm_count",
 ]
 
 _SAFMIN = np.finfo(float).tiny
@@ -76,15 +73,6 @@ class SpectrumSlice:
             raise ValueError("converged eigenvalues are not in ascending order")
 
 
-def _gershgorin(tri):
-    n = tri.n
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += np.abs(tri.off)
-        radius[1:] += np.abs(tri.off)
-    return float(np.min(tri.diag - radius)), float(np.max(tri.diag + radius))
-
-
 def _sturm_pivots(diag, off2, xs, pivmin):
     """LDL^T pivots of T - x, for every x in xs at once.
 
@@ -103,51 +91,8 @@ def _sturm_pivots(diag, off2, xs, pivmin):
     return count, q
 
 
-def _sturm_count_batch(diag, off2, xs, pivmin):
-    count, q = _sturm_pivots(diag, off2, xs, pivmin)
-    return count + (q < pivmin)
-
-
 def _pivmin(off2):
     return _SAFMIN * max(1.0, float(off2.max(initial=0.0)))
-
-
-def sturm_count(T, x):
-    """Number of eigenvalues of T strictly below x."""
-    off2 = T.off * T.off
-    return int(
-        _sturm_count_batch(T.diag, off2, np.array([float(x)]), _pivmin(off2))[0]
-    )
-
-
-def _bisect_indices(T, indices, tol):
-    off2 = T.off * T.off
-    pivmin = _pivmin(off2)
-    lo0, hi0 = _gershgorin(T)
-    # open the bracket a hair so the counts at the ends are exact
-    width = max(hi0 - lo0, 1.0)
-    lo0 -= 1e-12 * width
-    hi0 += 1e-12 * width
-    lo = np.full(indices.shape, lo0)
-    hi = np.full(indices.shape, hi0)
-    max_iter = int(np.ceil(np.log2(max((hi0 - lo0) / tol, 2.0)))) + 3
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        above = _sturm_count_batch(T.diag, off2, mid, pivmin) > indices
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.all(hi - lo < tol):
-            break
-    return 0.5 * (lo + hi)
-
-
-def eigenvalue_by_index(T, n, tol):
-    """Eigenvalue number n (ascending, 0-based) of T to absolute tol."""
-    if not 0 <= n < T.n:
-        raise IndexError(f"eigenvalue index {n} out of range for size {T.n}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return float(_bisect_indices(T, np.array([n]), tol)[0])
 
 
 def _window_counts(p, a, L, xs, pivmin):

@@ -2,10 +2,11 @@
 
 The operator of interest is an infinite symmetric Jacobi matrix with
 diagonal k + c1 (even k) / k + c2 (odd k) and off-diagonal g*sqrt(k+1).
-This module builds its finite truncations, the exactly solvable g-only
-part, the orthogonal shift transform U that diagonalizes that part, and
-the parity matrix conjugated into the shifted eigenbasis (``r_tilde``),
-together with independent evaluation routes for every closed form.
+This module builds its finite truncations, the orthogonal shift
+transform U that diagonalizes its exactly solvable g-only part
+(c1 = c2 = 0), and the parity matrix conjugated into the shifted
+eigenbasis (``r_tilde``), together with independent evaluation routes
+for every closed form.
 
 Dense matrices are plain float64 numpy arrays (row-major).
 """
@@ -21,19 +22,15 @@ __all__ = [
     "ModelParams",
     "Tridiagonal",
     "build_A",
-    "build_A0",
     "build_dense_rtilde",
-    "build_dense_u",
     "parity_diag",
     "r_tilde",
     "r_tilde_oracle_finite_sum",
-    "r_tilde_oracle_sum",
     "r_tilde_oracle_sum_block",
     "u_column",
     "u_column_mass",
     "u_columns",
     "u_element",
-    "u_element_contour",
     "u_element_contour_block",
 ]
 
@@ -69,13 +66,6 @@ class Tridiagonal:
     def n(self):
         return self.diag.shape[0]
 
-    def to_dense(self):
-        a = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        a[idx, idx + 1] = self.off
-        a[idx + 1, idx] = self.off
-        return a
-
 
 def build_A(p, N):
     """N x N truncation of the full operator for parameters p."""
@@ -85,11 +75,6 @@ def build_A(p, N):
     diag = k + np.where(np.arange(N) % 2 == 0, p.c1, p.c2)
     off = p.g * np.sqrt(k[1:])
     return Tridiagonal(diag=diag, off=off)
-
-
-def build_A0(g, N):
-    """Truncation of the exactly solvable part (c1 = c2 = 0)."""
-    return build_A(ModelParams(g=g), N)
 
 
 def parity_diag(N):
@@ -112,15 +97,6 @@ def u_element(n, m, g):
     if g == 0.0:
         return 1.0 if n == m else 0.0
     return specfun.laguerre_function(n, m - n, g * g)
-
-
-def u_element_contour(n, m, g, M=256):
-    """Shift-transform entry via a circular contour integral.
-
-    The one-entry case of :func:`u_element_contour_block`, which
-    documents the route and its errors.
-    """
-    return float(u_element_contour_block([n], [m], g, M)[0, 0])
 
 
 def u_element_contour_block(ns, ms, g, M=256):
@@ -190,14 +166,6 @@ def r_tilde(k, m, g):
     if g == 0.0:
         return sign if k == m else 0.0
     return sign * specfun.laguerre_function(k, m - k, 4.0 * g * g)
-
-
-def r_tilde_oracle_sum(k, m, g, K):
-    """Conjugation route for one entry of Rt, truncated at K.
-
-    The one-entry case of :func:`r_tilde_oracle_sum_block`.
-    """
-    return float(r_tilde_oracle_sum_block([k], [m], g, K)[0, 0])
 
 
 def r_tilde_oracle_sum_block(ks, ms, g, K):
@@ -306,20 +274,6 @@ def u_column_mass(n, g, tol=1e-10, k_start=None):
         if 1.0 - mass < tol or k_max > 2 * n + 2**16:
             return mass, k_max
         k_max *= 2
-
-
-def build_dense_u(N, g):
-    """Dense N x N truncation of the shift transform."""
-    if N < 1:
-        raise ValueError(f"truncation size must be >= 1, got {N}")
-    if g == 0.0:
-        return np.eye(N)
-    w = specfun.laguerre_function_table(N - 1, N - 1, g * g)
-    nn, mm = np.indices((N, N))
-    lo = np.minimum(nn, mm)
-    u = w[lo, np.abs(nn - mm)]
-    u[(nn > mm) & ((nn - mm) % 2 == 1)] *= -1.0
-    return u
 
 
 def build_dense_rtilde(N, g):

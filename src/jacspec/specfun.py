@@ -1,33 +1,29 @@
 """Special functions underlying the oscillator spectral machinery.
 
-Everything is evaluated from scratch in double precision: generalized
-Laguerre polynomials, their orthonormal function variant, integer-order
-Bessel J, log-gamma, and generalized Gauss-Laguerre quadrature.
+Everything is evaluated from scratch in double precision: orthonormal
+Laguerre functions (scalar and as tables over degrees and orders),
+integer-order Bessel J and log-gamma.
 
 Accuracy, as measured against extended-precision oracles in the test
 suite:
 
 * ``laguerre_function``: relative 1e-9 for n <= 200, |s| <= 10, 0 < x <= 50.
   Values below the double-precision underflow of the recurrence seed
-  flush to zero.
+  flush to zero.  At x = 4 g^2 the seed e^(-x/2) stays a normal double
+  only for |g| <= ``MAX_COUPLING``; beyond it precision is lost.
 * ``bessel_j``: 1e-10 (relative away from zeros) for x <= 1000, s <= 50.
 * ``log_gamma``: 1e-12 relative-or-absolute for z > 0.
-* ``gauss_laguerre``: moments exact to 1e-12 relative through degree
-  2*order - 1.
 """
 
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "bessel_j",
-    "gauss_laguerre",
     "laguerre_function",
     "laguerre_function_table",
-    "laguerre_polynomial",
     "log_gamma",
 ]
 
@@ -46,6 +42,12 @@ _SQRT_2PI = 2.5066282746310005
 # ascending series is safe up to here for every order; beyond it the
 # normalized downward recurrence takes over
 _BESSEL_SERIES_CUTOFF = 12.0
+
+# largest |g| at which the Laguerre recurrence seed e^(-x/2), x = 4 g^2,
+# is a normal double (e^(-2 g^2) >= DBL_MIN): about 18.82.  Past it the
+# seed goes subnormal and the values lose digits (e^(-x/2) L_800(x) is
+# 21% off at g = 19.29) until the seed underflows to 0.
+MAX_COUPLING = math.sqrt(-0.5 * math.log(sys.float_info.min))
 
 # Laguerre tables with at least this many rows run in degree blocks ...
 _BLOCK_MIN_ROWS = 1024
@@ -86,38 +88,6 @@ def _log_gamma_arr(z):
     return tmp + np.log(_SQRT_2PI * ser / z)
 
 
-def laguerre_polynomial(n, s, x):
-    """Generalized Laguerre polynomial L_n^(s)(x).
-
-    Parameters
-    ----------
-    n : int
-        Degree, n >= 0.
-    s : int
-        Superscript order; may be negative.  For s < 0 the value is
-        obtained from the positive-order polynomial of degree n + s,
-        and is 0 by convention when n + s < 0.
-    x : float
-        Evaluation point (any real; the polynomial continues off the
-        orthogonality interval).
-    """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    if s < 0:
-        st = -s
-        if n - st < 0:
-            return 0.0
-        ratio = math.exp(log_gamma(n - st + 1.0) - log_gamma(n + 1.0))
-        return (-x) ** st * ratio * laguerre_polynomial(n - st, st, x)
-    if n == 0:
-        return 1.0
-    lk_prev = 1.0
-    lk = s + 1.0 - x
-    for k in range(1, n):
-        lk, lk_prev = ((2 * k + s + 1 - x) * lk - (k + s) * lk_prev) / (k + 1), lk
-    return lk
-
-
 def laguerre_function(n, s, x):
     """Orthonormal Laguerre function of degree n and integer order s.
 
@@ -143,11 +113,7 @@ def laguerre_function(n, s, x):
             return 0.0
         sign = -1.0 if st % 2 else 1.0
         return sign * laguerre_function(n - st, st, x)
-    return _laguerre_function_real_order(n, float(s), x)
-
-
-def _laguerre_function_real_order(n, s, x):
-    # shared core; s any real >= 0 (quadrature needs non-integer alpha)
+    s = float(s)
     w_prev = math.exp(-0.5 * x + 0.5 * s * math.log(x) - 0.5 * log_gamma(s + 1.0))
     if n == 0:
         return w_prev
@@ -159,21 +125,6 @@ def _laguerre_function_real_order(n, s, x):
             w,
         )
     return w
-
-
-def _laguerre_function_pair(n, s, x):
-    # (value at degree n, value at degree n-1), same recurrence
-    w_prev = math.exp(-0.5 * x + 0.5 * s * math.log(x) - 0.5 * log_gamma(s + 1.0))
-    if n == 0:
-        return w_prev, 0.0
-    w = (s + 1.0 - x) / math.sqrt(s + 1.0) * w_prev
-    for k in range(1, n):
-        w, w_prev = (
-            ((2 * k + s + 1 - x) * w - math.sqrt(k * (k + s)) * w_prev)
-            / math.sqrt((k + 1) * (k + s + 1)),
-            w,
-        )
-    return w, w_prev
 
 
 def laguerre_function_table(n_max, s_max, x):
@@ -380,71 +331,3 @@ def _bessel_miller(s_max, x):
     # sum rule: J_0 + 2*(J_2 + J_4 + ...) = 1
     norm = jc + 2.0 * even_sum
     return np.array([v / norm for v in saved])
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Laguerre rule for the weight x^alpha * exp(-x) on (0, inf)."""
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    alpha: float
-
-    def integrate(self, f):
-        """Apply the rule to a callable of the node vector."""
-        return float(np.dot(self.weights, f(self.nodes)))
-
-
-def gauss_laguerre(order, alpha=0.0):
-    """Golub-Welsch construction of the generalized Gauss-Laguerre rule.
-
-    Nodes are the eigenvalues of the symmetric tridiagonal recurrence
-    matrix (computed by Sturm bisection and polished with Newton steps
-    on the orthonormal polynomial); weights follow from the classical
-    derivative formula, evaluated through the normalized Laguerre
-    function so nothing overflows.  Exact for integrands
-    x^alpha * exp(-x) * p(x) with deg p <= 2*order - 1.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    from .eigensolve import _bisect_indices  # deferred: avoids import cycle
-    from .model import Tridiagonal
-
-    k = np.arange(order, dtype=float)
-    tri = Tridiagonal(diag=2.0 * k + alpha + 1.0, off=np.sqrt(k[1:] * (k[1:] + alpha)))
-    hi = float(np.max(tri.diag)) + 2.0 * float(np.max(tri.off, initial=0.0))
-    tol = 1e-11 * max(1.0, hi)
-    nodes = _bisect_indices(tri, np.arange(order), tol)
-    nodes = np.array([_polish_laguerre_node(order, alpha, xi) for xi in nodes])
-
-    n = order
-    log_w = np.empty(order)
-    for i, xi in enumerate(nodes):
-        w_next = _laguerre_function_real_order(n + 1, alpha, xi)
-        log_w[i] = (
-            -xi
-            + (alpha + 1.0) * math.log(xi)
-            - math.log(n + 1.0)
-            - math.log(n + alpha + 1.0)
-            - 2.0 * math.log(abs(w_next))
-        )
-    weights = np.exp(log_w)
-    if not np.all(np.diff(nodes) > 0.0):
-        raise ArithmeticError("quadrature nodes failed to separate")
-    return QuadratureRule(order=order, nodes=nodes, weights=weights, alpha=float(alpha))
-
-
-def _polish_laguerre_node(n, alpha, x, iters=3):
-    # Newton on the orthonormal function; derivative via
-    # x * p_n' = n * p_n - sqrt(n (n + alpha)) * p_{n-1}
-    c = math.sqrt(n * (n + alpha))
-    for _ in range(iters):
-        wn, wn1 = _laguerre_function_pair(n, alpha, x)
-        d = (n * wn - c * wn1) / x + wn * (alpha / (2.0 * x) - 0.5)
-        if d == 0.0:
-            break
-        x -= wn / d
-    return x

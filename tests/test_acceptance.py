@@ -110,13 +110,16 @@ def test_criterion_04_remainder_rate():
 def test_criterion_05_oracle_triangle():
     start = time.monotonic()
     worst = 0.0
+    idx = np.arange(21)
     for g in (0.5, 0.7, 1.2):
+        contour = model.u_element_contour_block(idx, idx, g, 256)
+        conj_sum = model.r_tilde_oracle_sum_block(idx, idx, g, 110)
         for a in range(21):
             for b in range(21):
                 u1 = model.u_element(a, b, g)
-                u2 = model.u_element_contour(a, b, g, 256)
+                u2 = float(contour[a, b])
                 r1 = model.r_tilde(a, b, g)
-                r2 = model.r_tilde_oracle_sum(a, b, g, 110)
+                r2 = float(conj_sum[a, b])
                 r3 = model.r_tilde_oracle_finite_sum(a, b, g)
                 worst = max(
                     worst, abs(u1 - u2), abs(r1 - r2), abs(r1 - r3), abs(r2 - r3)

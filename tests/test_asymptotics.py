@@ -64,12 +64,12 @@ class TestDiagonalCorrection:
 
 class TestRemainderS:
     def test_zero_coupling(self):
-        s, tail = asymptotics.remainder_s(12, 0.0)
+        (s,), (tail,) = asymptotics.remainder_s_sweep([12], 0.0)
         assert s == 0.0
         assert 0.0 < tail < 1e-16
 
     def test_small_coupling_is_small(self):
-        s, _ = asymptotics.remainder_s(12, 1e-6)
+        (s,), _ = asymptotics.remainder_s_sweep([12], 1e-6)
         assert s < 1e-4
 
     def test_ground_state_series_oracle(self):
@@ -81,18 +81,18 @@ class TestRemainderS:
             term *= x / k
             acc += term / (k * k)
         expect = math.sqrt(math.exp(-x) * acc)
-        s0, _ = asymptotics.remainder_s(0, g)
+        (s0,), _ = asymptotics.remainder_s_sweep([0], g)
         assert s0 == pytest.approx(expect, rel=1e-12)
         assert s0 == pytest.approx(0.6494408657494646, rel=1e-12)  # frozen
 
     @pytest.mark.parametrize("n", [5, 20, 77, 200])
     def test_brute_force_agreement(self, n):
         # the k <= 4n window of the oracle only saturates from n ~ 5 up
-        s, _ = asymptotics.remainder_s(n, 0.5)
+        (s,), _ = asymptotics.remainder_s_sweep([n], 0.5)
         assert abs(s - brute_remainder(n, 0.5)) < 1e-8
 
     def test_tail_bound_tracks_eps(self):
-        _, tail = asymptotics.remainder_s(3, 0.5, eps_tail=1e-4)
+        _, (tail,) = asymptotics.remainder_s_sweep([3], 0.5, eps_tail=1e-4)
         assert tail < 1e-8
         assert tail > 1e-10
 
@@ -108,7 +108,7 @@ class TestRemainderS:
         ns = np.array([0, 3, 17, 140])
         sweep, tails = asymptotics.remainder_s_sweep(ns, 0.7)
         for n, s_val, t_val in zip(ns, sweep, tails):
-            s_ref, t_ref = asymptotics.remainder_s(int(n), 0.7)
+            (s_ref,), (t_ref,) = asymptotics.remainder_s_sweep([n], 0.7)
             assert s_val == pytest.approx(s_ref, rel=1e-13)
             assert t_val == t_ref
 

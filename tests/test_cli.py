@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from jacspec import cli, diagonalize
+from jacspec import cli, diagonalize, specfun
 
 FLOAT_CELL = re.compile(r"^-?\d+(\.\d+)?(e-?\+?\d+)?$|^-?\d+(\.\d+)?e[-+]?\d+$")
 
@@ -213,6 +213,42 @@ class TestOracleCommand:
         code, _, err = run_cli(["oracle", "--cap", "4", "--points", "16"], capsys)
         assert code == 1
         assert "64" in err
+
+    def test_contour_arithmetic_failure_exits_one(self, capsys):
+        # from g ~ 7 the contour route's imaginary residue passes 1e-8
+        code, out, err = run_cli(["oracle", "--g", "7"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "imaginary residue" in err
+
+
+class TestCouplingLimit:
+    @pytest.mark.parametrize("command", ["asymptotics", "verify", "oracle"])
+    @pytest.mark.parametrize("g", ["19", "20", "-20"])
+    def test_beyond_limit_exits_one(self, command, g, capsys):
+        code, out, err = run_cli([command, "--g", g], capsys)
+        assert code == 1
+        assert out == ""
+        assert repr(specfun.MAX_COUPLING) in err
+
+    def test_asymptotics_below_limit_runs(self, capsys):
+        code, out, err = run_cli(
+            ["asymptotics", "--g", "18.8", "--n", "8:40", "--format", "json"], capsys
+        )
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert all(r["diag_corr"] != 0.0 and r["s_n"] > 0.0 for r in rows)
+
+    def test_verify_below_limit_runs(self, capsys):
+        # offset_decay's fixed blocks lie before the turning point n ~ g^2
+        # here, so the check may FAIL (exit 3); it must not crash
+        code, out, _ = run_cli(["verify", "--g", "18.8", "--nmax", "20000"], capsys)
+        assert code in (0, 3)
+        assert "laguerre_bound(x=1413.76)" in out
+
+    def test_spectrum_has_no_coupling_limit(self, capsys):
+        code, _, err = run_cli(["spectrum", "--g", "20", "--n", "0:3"], capsys)
+        assert code == 0, err
 
 
 class TestVerifyFlags:

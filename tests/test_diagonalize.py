@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jacspec import asymptotics, diagonalize, model, specfun
+from oracles import s_n_as_k_column
 
 
 class TestBuildBundle:
@@ -84,23 +85,23 @@ class TestVerifySimilarity:
 class TestKColumnNorm:
     def test_zero_coupling(self):
         b = diagonalize.build_bundle(0.0, 64)
-        assert diagonalize.s_n_as_k_column(b, 5) == 0.0
+        assert s_n_as_k_column(b, 5) == 0.0
 
     def test_matches_remainder_sum(self):
         b = diagonalize.build_bundle(0.5, 512)
-        got = diagonalize.s_n_as_k_column(b, 20)
-        ref, _ = asymptotics.remainder_s(20, 0.5)
+        got = s_n_as_k_column(b, 20)
+        (ref,), _ = asymptotics.remainder_s_sweep([20], 0.5)
         assert abs(got - ref) < 1e-6
 
     def test_interior_only(self):
         b = diagonalize.build_bundle(0.5, 64)
         with pytest.raises(IndexError):
-            diagonalize.s_n_as_k_column(b, 32)
+            s_n_as_k_column(b, 32)
 
     def test_block_envelope_decreases(self):
         b = diagonalize.build_bundle(0.5, 2048)
         ns = np.arange(8, 512)
-        vals = [diagonalize.s_n_as_k_column(b, int(n)) for n in ns]
+        vals = [s_n_as_k_column(b, int(n)) for n in ns]
         bm = asymptotics.dyadic_block_maxima(ns, vals)
         maxima = [bm[j] for j in sorted(bm)]
         assert all(b2 < a for a, b2 in zip(maxima, maxima[1:]))
@@ -167,6 +168,15 @@ class TestOffsetDecay:
         # block-to-block ratio of the p = 0 maxima tracks 2^(-1/4)
         rep = diagonalize.check_offset_decay(0.5, 1)
         assert 0.7 < rep.max_ratio < 0.95
+
+    def test_flat_block_is_a_violation(self, monkeypatch):
+        # the blocks must decrease: a ratio of exactly 1 fails the check
+        monkeypatch.setattr(diagonalize, "dyadic_block_maxima",
+                            lambda ns, vals: dict.fromkeys(range(12), 0.5))
+        rep = diagonalize.check_offset_decay(0.5, 1)
+        assert rep.max_ratio == 1.0
+        assert not rep.passed
+        assert len(rep.violations) == 3 * 4
 
     def test_requires_positive_offset_cap(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from jacspec import eigensolve, model
 
@@ -15,94 +15,58 @@ def random_tridiagonal(rng, n):
     )
 
 
+def sturm_count(T, x):
+    """Eigenvalues of T below x, counted as the certificate counts them."""
+    off2 = T.off * T.off
+    pivmin = eigensolve._pivmin(off2)
+    count, q = eigensolve._sturm_pivots(T.diag, off2, np.array([float(x)]), pivmin)
+    return int(count[0] + (q[0] < pivmin))
+
+
+def stebz(p, N, ns):
+    """Eigenvalues ns of the N-row truncation by LAPACK bisection."""
+    T = model.build_A(p, N)
+    return eigh_tridiagonal(T.diag, T.off, eigvals_only=True, select="i",
+                            select_range=(int(ns.min()), int(ns.max())),
+                            lapack_driver="stebz")[ns - ns.min()]
+
+
 class TestSturmCount:
     def test_diagonal(self):
         tri = model.Tridiagonal(diag=np.array([0.0, 1.0, 2.0]), off=np.zeros(2))
-        assert eigensolve.sturm_count(tri, 1.5) == 2
+        assert sturm_count(tri, 1.5) == 2
 
     def test_gershgorin_ends(self):
         rng = np.random.default_rng(7)
         tri = random_tridiagonal(rng, 40)
         lo = float(np.min(tri.diag) - 2 * np.abs(tri.off).max() - 1)
         hi = float(np.max(tri.diag) + 2 * np.abs(tri.off).max() + 1)
-        assert eigensolve.sturm_count(tri, lo) == 0
-        assert eigensolve.sturm_count(tri, hi) == 40
+        assert sturm_count(tri, lo) == 0
+        assert sturm_count(tri, hi) == 40
 
     def test_zero_pivot_counts_as_negative(self):
         # the second pivot at x = 0.5 is exactly 0; lambda_0 = 0.380 < 0.5
         tri = model.build_A(model.ModelParams(0.5, 1.0, 0.0), 129)
-        assert eigensolve.sturm_count(tri, 0.5) == 1
+        assert sturm_count(tri, 0.5) == 1
 
     def test_two_by_two_between_roots(self):
         g = 0.8
         tri = model.Tridiagonal(diag=np.array([0.0, 1.0]), off=np.array([g]))
         r_lo = (1 - math.sqrt(1 + 4 * g * g)) / 2
         r_hi = (1 + math.sqrt(1 + 4 * g * g)) / 2
-        assert eigensolve.sturm_count(tri, 0.5 * (r_lo + r_hi)) == 1
+        assert sturm_count(tri, 0.5 * (r_lo + r_hi)) == 1
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_monotone_and_bracket_counts(self, seed):
         rng = np.random.default_rng(seed)
         tri = random_tridiagonal(rng, 25)
         xs = np.sort(rng.uniform(-12.0, 12.0, 6))
-        counts = [eigensolve.sturm_count(tri, float(x)) for x in xs]
+        counts = [sturm_count(tri, float(x)) for x in xs]
         assert counts == sorted(counts)
         ref = eigvalsh_tridiagonal(tri.diag, tri.off)
         for lo, hi, c_lo, c_hi in zip(xs, xs[1:], counts, counts[1:]):
             inside = int(np.sum((ref >= lo) & (ref < hi)))
             assert c_hi - c_lo == inside
-
-
-class TestEigenvalueByIndex:
-    def test_diagonal_matrix(self):
-        tri = model.Tridiagonal(diag=np.array([4.0, -1.0, 2.5]), off=np.zeros(2))
-        expect = sorted([4.0, -1.0, 2.5])
-        for i in range(3):
-            assert eigensolve.eigenvalue_by_index(tri, i, 1e-10) == pytest.approx(
-                expect[i], abs=1e-9
-            )
-
-    def test_two_by_two_roots(self):
-        g = 0.8
-        tri = model.Tridiagonal(diag=np.array([0.0, 1.0]), off=np.array([g]))
-        roots = [(1 - math.sqrt(1 + 4 * g * g)) / 2, (1 + math.sqrt(1 + 4 * g * g)) / 2]
-        for i, root in enumerate(roots):
-            assert abs(eigensolve.eigenvalue_by_index(tri, i, 1e-11) - root) < 1e-11
-
-    def test_base_operator_low_eigenvalues(self):
-        g = 0.7
-        tri = model.build_A0(g, 1024)
-        for n in (0, 3, 11):
-            got = eigensolve.eigenvalue_by_index(tri, n, 1e-9)
-            assert abs(got - (n - g * g)) < 1e-8
-
-    def test_index_bounds(self):
-        tri = model.build_A0(0.5, 8)
-        with pytest.raises(IndexError):
-            eigensolve.eigenvalue_by_index(tri, 8, 1e-8)
-
-    @settings(max_examples=20)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_against_lapack(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 50))
-        tri = random_tridiagonal(rng, n)
-        ref = eigvalsh_tridiagonal(tri.diag, tri.off)
-        for i in (0, n // 2, n - 1):
-            got = eigensolve.eigenvalue_by_index(tri, i, 1e-10)
-            assert abs(got - ref[i]) < 1e-8
-
-    @pytest.mark.parametrize("n", [60, 200])
-    def test_interlacing_with_next_truncation(self, n):
-        rng = np.random.default_rng(n)
-        diag = rng.uniform(-5.0, 5.0, n + 1)
-        off = rng.uniform(-3.0, 3.0, n)
-        big = model.Tridiagonal(diag=diag, off=off)
-        small = model.Tridiagonal(diag=diag[:n], off=off[: n - 1])
-        lam_small = eigensolve._bisect_indices(small, np.arange(n), 1e-10)
-        lam_big = eigensolve._bisect_indices(big, np.arange(n + 1), 1e-10)
-        assert np.all(lam_big[:n] <= lam_small + 1e-9)
-        assert np.all(lam_small <= lam_big[1:] + 1e-9)
 
 
 class TestSpectralRequest:
@@ -176,7 +140,7 @@ class TestConvergedSpectrum:
         tol = 1e-8
         ranges = [(0, 12), (995, 1000)]
         ns = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
-        dense = eigensolve._bisect_indices(model.build_A(p, 1000 + 400), ns, tol / 8)
+        dense = stebz(p, 1000 + 400, ns)
         got = []
         for lo, hi in ranges:
             sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(lo, hi, tol))
@@ -210,9 +174,7 @@ class TestConvergedSpectrum:
         assert len(sl.history) >= 2
         assert sl.history[-1][1] == 0
         assert sl.converged.all()
-        dense = eigensolve._bisect_indices(
-            model.build_A(p, 440), np.arange(30, 41), 1e-10
-        )
+        dense = stebz(p, 440, np.arange(30, 41))
         assert np.abs(sl.values - dense).max() < 1e-9
 
     def test_narrow_window_at_size_cap_is_flagged(self, monkeypatch):
@@ -220,9 +182,7 @@ class TestConvergedSpectrum:
         monkeypatch.setattr(eigensolve, "_N_MAX", 48)
         p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
         sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(30, 40, 1e-9))
-        dense = eigensolve._bisect_indices(
-            model.build_A(p, 440), np.arange(30, 41), 1e-10
-        )
+        dense = stebz(p, 440, np.arange(30, 41))
         wrong = np.abs(sl.values - dense) >= 1e-9
         assert wrong.any()
         assert not sl.converged[wrong].any()

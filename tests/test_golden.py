@@ -1,9 +1,10 @@
-"""`verify` and `oracle` output against goldens captured before a change.
+"""CLI output at its defaults against goldens captured before a change.
 
 tests/golden holds `<command>_g<g>.<format>` files written by
-scripts/capture_goldens.py.  Each one is regenerated here and compared
-cell by cell: names, statuses, notes and every exactly-zero metric must
-be identical, and every other number must agree to 1e-12 relative.
+scripts/capture_goldens.py for `spectrum`, `asymptotics`, `verify` and
+`oracle`.  Each one is regenerated here and compared cell by cell:
+names, statuses, notes and every exactly-zero number must be identical,
+and every other number must agree to 1e-12 relative.
 """
 
 import csv
@@ -11,13 +12,15 @@ import json
 import math
 import pathlib
 import re
+import warnings
 
 import pytest
 
 from jacspec import cli
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-GOLDEN_NAME = re.compile(r"^(verify|oracle)_g(.+)\.(csv|json)$")
+COMMANDS = ("spectrum", "asymptotics", "verify", "oracle")
+GOLDEN_NAME = re.compile(r"^(%s)_g(.+)\.(csv|json)$" % "|".join(COMMANDS))
 GOLDENS = sorted(p.name for p in GOLDEN_DIR.iterdir() if GOLDEN_NAME.match(p.name))
 REL = 1e-12
 
@@ -68,17 +71,19 @@ def _compare_csv(got_text, want_text, where):
                     (where, r, got_cell, want_cell)
 
 
-def test_goldens_cover_both_commands_and_formats():
+def test_goldens_cover_every_command_and_format():
     kinds = {GOLDEN_NAME.match(name).group(1, 3) for name in GOLDENS}
-    assert kinds == {(c, f) for c in ("verify", "oracle") for f in ("csv", "json")}
-    assert len(GOLDENS) == 20
+    assert kinds == {(c, f) for c in COMMANDS for f in ("csv", "json")}
+    assert len(GOLDENS) == 40
 
 
 @pytest.mark.parametrize("name", GOLDENS)
 def test_output_matches_golden(name, tmp_path, capsys):
     command, g, fmt = GOLDEN_NAME.match(name).groups()
     out = tmp_path / name
-    code = cli.main([command, "--g", g, "--format", fmt, "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # asymptotics at g = 0 warns
+        code = cli.main([command, "--g", g, "--format", fmt, "--out", str(out)])
     capsys.readouterr()
     assert code == 0
     want = (GOLDEN_DIR / name).read_text()

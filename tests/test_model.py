@@ -7,6 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacspec import model, specfun
+from oracles import build_dense_u, laguerre_polynomial
+
+
+def contour(n, m, g, M=256):
+    return float(model.u_element_contour_block([n], [m], g, M)[0, 0])
+
+
+def conjugation_sum(k, m, g, K):
+    return float(model.r_tilde_oracle_sum_block([k], [m], g, K)[0, 0])
+
+
+def dense(tri):
+    return np.diag(tri.diag) + np.diag(tri.off, 1) + np.diag(tri.off, -1)
 
 
 class TestBuildA:
@@ -34,13 +47,13 @@ class TestBuildA:
             model.ModelParams(g=0.5, c1=math.nan)
 
     def test_base_case_matches_general(self):
-        tri0 = model.build_A0(0.8, 12)
+        # default shifts are the exactly solvable part: k and g sqrt(k)
         tri = model.build_A(model.ModelParams(g=0.8), 12)
-        np.testing.assert_array_equal(tri0.diag, tri.diag)
-        np.testing.assert_array_equal(tri0.off, tri.off)
+        np.testing.assert_array_equal(tri.diag, np.arange(12.0))
+        np.testing.assert_array_equal(tri.off, 0.8 * np.sqrt(np.arange(1.0, 12.0)))
 
     def test_base_two_by_two(self):
-        tri = model.build_A0(0.9, 2)
+        tri = model.build_A(model.ModelParams(g=0.9), 2)
         np.testing.assert_allclose(tri.diag, [0.0, 1.0])
         np.testing.assert_allclose(tri.off, [0.9])
 
@@ -97,7 +110,7 @@ class TestUElement:
 class TestUElementContour:
     def test_corner(self):
         g = 0.8
-        assert model.u_element_contour(0, 0, g, 256) == pytest.approx(
+        assert contour(0, 0, g, 256) == pytest.approx(
             math.exp(-g * g / 2), rel=1e-12
         )
 
@@ -106,18 +119,18 @@ class TestUElementContour:
         for n in range(0, 21, 4):
             for m in range(0, 21, 4):
                 assert abs(
-                    model.u_element_contour(n, m, g, 256) - model.u_element(n, m, g)
+                    contour(n, m, g, 256) - model.u_element(n, m, g)
                 ) < 1e-10
 
     def test_spot_against_function(self):
-        got = model.u_element_contour(2, 5, 0.5, 256)
+        got = contour(2, 5, 0.5, 256)
         assert got == pytest.approx(specfun.laguerre_function(2, 3, 0.25), rel=1e-11)
 
     def test_caps(self):
         with pytest.raises(ValueError):
-            model.u_element_contour(31, 2, 0.5)
+            contour(31, 2, 0.5)
         with pytest.raises(ValueError):
-            model.u_element_contour(2, 2, 0.5, M=32)
+            contour(2, 2, 0.5, M=32)
 
 
 class TestRTilde:
@@ -195,23 +208,23 @@ def finite_sum_reference(k, m, g):
 class TestRTildeOracles:
     def test_sum_corner(self):
         g = 0.6
-        assert model.r_tilde_oracle_sum(0, 0, g, 120) == pytest.approx(
+        assert conjugation_sum(0, 0, g, 120) == pytest.approx(
             math.exp(-2 * g * g), abs=1e-9
         )
 
     def test_sum_against_closed_form(self):
-        assert model.r_tilde_oracle_sum(3, 7, 0.6, 120) == pytest.approx(
+        assert conjugation_sum(3, 7, 0.6, 120) == pytest.approx(
             model.r_tilde(3, 7, 0.6), abs=1e-9
         )
 
     def test_sum_zero_coupling(self):
-        assert model.r_tilde_oracle_sum(4, 4, 0.0, 50) == 1.0
-        assert model.r_tilde_oracle_sum(5, 5, 0.0, 50) == -1.0
-        assert model.r_tilde_oracle_sum(2, 3, 0.0, 50) == 0.0
+        assert conjugation_sum(4, 4, 0.0, 50) == 1.0
+        assert conjugation_sum(5, 5, 0.0, 50) == -1.0
+        assert conjugation_sum(2, 3, 0.0, 50) == 0.0
 
     def test_sum_rejects_short_truncation(self):
         with pytest.raises(ValueError):
-            model.r_tilde_oracle_sum(30, 30, 1.2, 31)
+            conjugation_sum(30, 30, 1.2, 31)
 
     def test_finite_sum_single_term_row(self):
         # k = 0 collapses to one term
@@ -222,7 +235,7 @@ class TestRTildeOracles:
 
     def test_finite_sum_diagonal(self):
         g, k = 0.55, 7
-        expect = (-1.0) ** k * math.exp(-2 * g * g) * specfun.laguerre_polynomial(
+        expect = (-1.0) ** k * math.exp(-2 * g * g) * laguerre_polynomial(
             k, 0, 4 * g * g
         )
         got = model.r_tilde_oracle_finite_sum(k, k, g)
@@ -246,7 +259,6 @@ class TestRTildeOracles:
                 # integer powers of a whole column of radii may round
                 # differently from a scalar power
                 assert abs(contour[k, m] - contour_reference(k, m, g, 256)) <= 1e-15
-                assert conj[k, m] == model.r_tilde_oracle_sum(k, m, g, 100)
                 assert conj[k, m] == conjugation_sum_reference(k, m, g, 100)
         # rectangular blocks pick the same entries
         ks, ms = np.array([3, 0, 17]), np.array([20, 5])
@@ -282,19 +294,19 @@ class TestRTildeOracles:
     )
     def test_three_route_agreement(self, k, m, g):
         closed = model.r_tilde(k, m, g)
-        assert abs(model.r_tilde_oracle_sum(k, m, g, max(k, m) + 90) - closed) < 1e-9
+        assert abs(conjugation_sum(k, m, g, max(k, m) + 90) - closed) < 1e-9
         assert abs(model.r_tilde_oracle_finite_sum(k, m, g) - closed) < 1e-9
 
 
 class TestDenseBuilders:
     def test_single_entry(self):
         g = 0.7
-        assert model.build_dense_u(1, g)[0, 0] == model.u_element(0, 0, g)
+        assert build_dense_u(1, g)[0, 0] == model.u_element(0, 0, g)
         assert model.build_dense_rtilde(1, g)[0, 0] == model.r_tilde(0, 0, g)
 
     def test_dense_u_matches_elements(self):
         g, N = 0.6, 12
-        u = model.build_dense_u(N, g)
+        u = build_dense_u(N, g)
         for n in range(N):
             for m in range(N):
                 assert u[n, m] == pytest.approx(model.u_element(n, m, g), abs=1e-15)
@@ -309,22 +321,22 @@ class TestDenseBuilders:
 
     def test_interior_orthogonality(self):
         g, N = 0.7, 200
-        u = model.build_dense_u(N, g)
+        u = build_dense_u(N, g)
         gram = u.T @ u
         err = np.abs(gram - np.eye(N))[:100, :100].max()
         assert err < 1e-10
 
     def test_conjugation_reproduces_closed_form(self):
         g, N = 0.7, 200
-        u = model.build_dense_u(N, g)
+        u = build_dense_u(N, g)
         rt = u.T @ np.diag(model.parity_diag(N)) @ u
         err = np.abs(rt - model.build_dense_rtilde(N, g))[:100, :100].max()
         assert err < 1e-10
 
     def test_basis_change_diagonalizes_base_operator(self):
         g, N = 0.7, 400
-        u = model.build_dense_u(N, g)
-        a0 = model.build_A0(g, N).to_dense()
+        u = build_dense_u(N, g)
+        a0 = dense(model.build_A(model.ModelParams(g=g), N))
         m = u.T @ a0 @ u
         target = np.diag(np.arange(N) - g * g)
         assert np.abs(m - target)[:201, :201].max() < 1e-8
