@@ -103,11 +103,7 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command")
     for name in ("spectrum", "asymptotics"):
-        sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "asymptotics":
-            sub.add_argument("--synthetic-alpha", type=float, default=None,
-                             help="testing aid: fit an injected exact power law")
+        _add_common(subs.add_parser(name))
     verify = subs.add_parser("verify")
     _add_common(verify)
     verify.add_argument("--smax", type=int, default=_DEFAULTS["smax"])
@@ -236,7 +232,7 @@ def _fit_or_none(pairs):
     }
 
 
-def cmd_asymptotics(cfg, synthetic_alpha=None):
+def cmd_asymptotics(cfg):
     from .asymptotics import residual_table
     from .model import ModelParams
 
@@ -250,18 +246,13 @@ def cmd_asymptotics(cfg, synthetic_alpha=None):
         for r in rows_data
     ]
     floor = 10.0 * cfg.tol
-    if synthetic_alpha is not None:
-        synth = [(r.n, 1.0 * r.n ** (-synthetic_alpha)) for r in rows_data if r.n >= 1]
-        fits = {"r1": _fit_or_none(synth), "r2": _fit_or_none(synth),
-                "s_n": _fit_or_none(synth)}
-    else:
-        fits = {
-            "r1": _fit_or_none([(r.n, abs(r.r1)) for r in rows_data
-                                if r.n >= 1 and abs(r.r1) >= floor]),
-            "r2": _fit_or_none([(r.n, abs(r.r2)) for r in rows_data
-                                if r.n >= 1 and abs(r.r2) >= floor]),
-            "s_n": _fit_or_none([(r.n, r.s_n) for r in rows_data if r.n >= 1]),
-        }
+    fits = {
+        "r1": _fit_or_none([(r.n, abs(r.r1)) for r in rows_data
+                            if r.n >= 1 and abs(r.r1) >= floor]),
+        "r2": _fit_or_none([(r.n, abs(r.r2)) for r in rows_data
+                            if r.n >= 1 and abs(r.r2) >= floor]),
+        "s_n": _fit_or_none([(r.n, r.s_n) for r in rows_data if r.n >= 1]),
+    }
     _emit_table(cfg, header, rows, fits=fits)
     return 0 if all(r.converged for r in rows_data) else _EXIT_UNCONVERGED
 
@@ -338,30 +329,25 @@ def cmd_oracle(cfg, cap, points):
     import numpy as np
 
     from .model import (
-        r_tilde,
+        build_dense_rtilde,
         r_tilde_oracle_finite_sum,
         r_tilde_oracle_sum_block,
-        u_element,
+        u_columns,
         u_element_contour_block,
     )
 
-    if cap > 30:
-        return _usage_error(f"oracle caps are limited to 30, got {cap}")
+    if not 0 <= cap <= 30:
+        return _usage_error(f"oracle caps must lie in [0, 30], got {cap}")
     idx = np.arange(cap + 1)
-    contour = u_element_contour_block(idx, idx, cfg.g, points).tolist()
-    conj_sum = r_tilde_oracle_sum_block(idx, idx, cfg.g, cap + 80).tolist()
-    dev_contour = 0.0
-    dev_sum = 0.0
-    dev_finite = 0.0
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            dev_contour = max(dev_contour, abs(u_element(a, b, cfg.g) - contour[a][b]))
-            rt = r_tilde(a, b, cfg.g)
-            dev_sum = max(dev_sum, abs(rt - conj_sum[a][b]))
-            dev_finite = max(dev_finite, abs(rt - r_tilde_oracle_finite_sum(a, b, cfg.g)))
-    rows = [("u_contour_vs_closed", dev_contour),
-            ("rtilde_sum_vs_closed", dev_sum),
-            ("rtilde_finite_sum_vs_closed", dev_finite)]
+    closed_u = u_columns(idx, cfg.g, cap)
+    closed_rt = build_dense_rtilde(cap + 1, cfg.g)
+    contour = u_element_contour_block(idx, idx, cfg.g, points)
+    conj_sum = r_tilde_oracle_sum_block(idx, idx, cfg.g, cap + 80)
+    finite = np.array([[r_tilde_oracle_finite_sum(a, b, cfg.g) for b in range(cap + 1)]
+                       for a in range(cap + 1)])
+    rows = [("u_contour_vs_closed", float(np.max(np.abs(closed_u - contour)))),
+            ("rtilde_sum_vs_closed", float(np.max(np.abs(closed_rt - conj_sum)))),
+            ("rtilde_finite_sum_vs_closed", float(np.max(np.abs(closed_rt - finite))))]
     for name, dev in rows:
         sys.stdout.write(f"{name} max_deviation={dev!r}\n")
     if cfg.output_format == "json" or cfg.output_path:
@@ -401,7 +387,7 @@ def main(argv=None):
         if cfg.command == "spectrum":
             return cmd_spectrum(cfg)
         if cfg.command == "asymptotics":
-            return cmd_asymptotics(cfg, synthetic_alpha=args.synthetic_alpha)
+            return cmd_asymptotics(cfg)
         if cfg.command == "verify":
             return cmd_verify(cfg, args.smax, args.xgrid, args.nmax)
         return cmd_oracle(cfg, args.cap, args.points)

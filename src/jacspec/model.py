@@ -4,9 +4,11 @@ The operator of interest is an infinite symmetric Jacobi matrix with
 diagonal k + c1 (even k) / k + c2 (odd k) and off-diagonal g*sqrt(k+1).
 This module builds its finite truncations, the orthogonal shift
 transform U that diagonalizes its exactly solvable g-only part
-(c1 = c2 = 0), and the parity matrix conjugated into the shifted
-eigenbasis (``r_tilde``), together with independent evaluation routes
-for every closed form.
+(c1 = c2 = 0), and the parity matrix Rt = U^T P U conjugated into the
+shifted eigenbasis, together with independent evaluation routes for
+both.  The closed forms of U and Rt are read off one Laguerre table, by
+``u_columns`` alone; the contour, conjugation-sum and finite-sum routes
+cross-check them.
 
 Dense matrices are plain float64 numpy arrays (row-major).
 """
@@ -24,13 +26,10 @@ __all__ = [
     "build_A",
     "build_dense_rtilde",
     "parity_diag",
-    "r_tilde",
     "r_tilde_oracle_finite_sum",
     "r_tilde_oracle_sum_block",
-    "u_column",
     "u_column_mass",
     "u_columns",
-    "u_element",
     "u_element_contour_block",
 ]
 
@@ -86,19 +85,6 @@ def parity_diag(N):
     return d
 
 
-def u_element(n, m, g):
-    """Entry (n, m) of the orthogonal shift transform.
-
-    Equals the orthonormal Laguerre function of degree n and order
-    m - n at g^2; the identity matrix when g = 0.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    if g == 0.0:
-        return 1.0 if n == m else 0.0
-    return specfun.laguerre_function(n, m - n, g * g)
-
-
 def u_element_contour_block(ns, ms, g, M=256):
     """Shift-transform entries U[n, m] for n in ns, m in ms, by contour.
 
@@ -107,7 +93,7 @@ def u_element_contour_block(ns, ms, g, M=256):
     Any circle carries the same residue; for m > n the radius shrinks to
     the saddle value g^2/(m - n), which keeps the factorial prefactor
     from amplifying round-off of the nearly cancelling sum.  Cross-checks
-    :func:`u_element`.  Returns a (len(ns), len(ms)) array.
+    :func:`u_columns`.  Returns a (len(ns), len(ms)) array.
 
     Raises
     ------
@@ -150,22 +136,6 @@ def u_element_contour_block(ns, ms, g, M=256):
             )
         out[i] = val.real
     return out
-
-
-def r_tilde(k, m, g):
-    """Entry (k, m) of the parity matrix in the shifted eigenbasis.
-
-    Closed form: (-1)^k times the orthonormal Laguerre function of
-    degree k and order m - k at 4 g^2; reduces to the parity diagonal
-    at g = 0.  Symmetric in (k, m) bit-exactly, because the negative
-    order route evaluates the same recurrence.
-    """
-    if k < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    sign = -1.0 if k % 2 else 1.0
-    if g == 0.0:
-        return sign if k == m else 0.0
-    return sign * specfun.laguerre_function(k, m - k, 4.0 * g * g)
 
 
 def r_tilde_oracle_sum_block(ks, ms, g, K):
@@ -232,16 +202,14 @@ def r_tilde_oracle_finite_sum(k, m, g):
     return sign * math.exp(lpre) * body
 
 
-def u_column(n, g, k_max):
-    """Column n of the shift transform, entries 0..k_max."""
-    return u_columns([n], g, k_max)[:, 0]
-
-
 def u_columns(ns, g, k_max):
     """Columns ns of the shift transform, entries 0..k_max.
 
-    Returns a (k_max + 1, len(ns)) array read off one Laguerre table:
-    U[k, n] is W[k, n - k] for k <= n and (-1)^(k - n) W[n, k - n] below.
+    Returns a (k_max + 1, len(ns)) array read off one Laguerre table at
+    x = g^2: U[k, n] is W[min(k, n), |k - n|] times a sign (-1)^(k - n)
+    that applies below the diagonal (k > n) for g > 0, where it is the
+    negative-order reduction, and above it (k < n) for g < 0, because
+    U(-g) = P U(g) P with P the parity matrix.
     """
     ns = np.asarray(ns, dtype=int)
     if (ns.size and ns.min() < 0) or k_max < 0:
@@ -254,7 +222,7 @@ def u_columns(ns, g, k_max):
     n_lo, n_hi = int(ns.min()), int(ns.max())
     w = specfun.laguerre_function_table(min(n_hi, k_max), max(n_hi, k_max - n_lo), g * g)
     cols = w[np.minimum(ks, ns), np.abs(ks - ns)]
-    cols[(ks > ns) & ((ks - ns) % 2 == 1)] *= -1.0
+    cols[((ks > ns) != (g < 0.0)) & ((ks - ns) % 2 == 1)] *= -1.0
     return cols
 
 
@@ -269,7 +237,7 @@ def u_column_mass(n, g, tol=1e-10, k_start=None):
         raise ValueError("tol must be positive")
     k_max = k_start if k_start is not None else 2 * n + 64
     while True:
-        col = u_column(n, g, k_max)
+        col = u_columns([n], g, k_max)[:, 0]
         mass = float(col @ col)
         if 1.0 - mass < tol or k_max > 2 * n + 2**16:
             return mass, k_max
@@ -277,16 +245,13 @@ def u_column_mass(n, g, tol=1e-10, k_start=None):
 
 
 def build_dense_rtilde(N, g):
-    """Dense N x N truncation of the conjugated parity matrix."""
+    """Dense N x N truncation of the conjugated parity matrix.
+
+    Closed form: Rt[k, m] = (-1)^k U[k, m] with U taken at coupling 2 g,
+    that is, (-1)^k times the orthonormal Laguerre function of degree k
+    and order m - k at 4 g^2.  Symmetric bit for bit, since both
+    triangles read the same table entries.
+    """
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
-    if g == 0.0:
-        return np.diag(parity_diag(N))
-    w = specfun.laguerre_function_table(N - 1, N - 1, 4.0 * g * g)
-    kk, mm = np.indices((N, N))
-    lo = np.minimum(kk, mm)
-    r = w[lo, np.abs(kk - mm)]
-    # (-1)^k plus the negative-order sign (-1)^(k-m) below the diagonal
-    r[kk % 2 == 1] *= -1.0
-    r[(kk > mm) & ((kk - mm) % 2 == 1)] *= -1.0
-    return r
+    return parity_diag(N)[:, None] * u_columns(np.arange(N), 2.0 * g, N - 1)

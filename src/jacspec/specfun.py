@@ -1,16 +1,17 @@
 """Special functions underlying the oscillator spectral machinery.
 
 Everything is evaluated from scratch in double precision: orthonormal
-Laguerre functions (scalar and as tables over degrees and orders),
-integer-order Bessel J and log-gamma.
+Laguerre functions (as tables over degrees and orders, from one
+recurrence kernel), integer-order Bessel J and log-gamma.
 
 Accuracy, as measured against extended-precision oracles in the test
 suite:
 
-* ``laguerre_function``: relative 1e-9 for n <= 200, |s| <= 10, 0 < x <= 50.
-  Values below the double-precision underflow of the recurrence seed
-  flush to zero.  At x = 4 g^2 the seed e^(-x/2) stays a normal double
-  only for |g| <= ``MAX_COUPLING``; beyond it precision is lost.
+* ``laguerre_function_table``: relative 1e-9 for degrees n <= 200,
+  orders s <= 10 and 0 < x <= 50.  Values below the double-precision
+  underflow of the recurrence seed flush to zero.  At x = 4 g^2 the
+  seed e^(-x/2) stays a normal double only for |g| <= ``MAX_COUPLING``;
+  beyond it precision is lost.
 * ``bessel_j``: 1e-10 (relative away from zeros) for x <= 1000, s <= 50.
 * ``log_gamma``: 1e-12 relative-or-absolute for z > 0.
 """
@@ -22,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "bessel_j",
-    "laguerre_function",
     "laguerre_function_table",
     "log_gamma",
 ]
@@ -88,51 +88,16 @@ def _log_gamma_arr(z):
     return tmp + np.log(_SQRT_2PI * ser / z)
 
 
-def laguerre_function(n, s, x):
-    """Orthonormal Laguerre function of degree n and integer order s.
-
-    This is sqrt(n!/(n+s)!) * exp(-x/2) * x^(s/2) * L_n^(s)(x), the
-    L2(0, inf)-orthonormal family.  The recurrence runs on the
-    normalized values directly, so no factorial ever materializes and
-    magnitudes stay O(1) for any n.  Negative orders reduce to
-    (-1)^|s| times the positive-order function of degree n + s
-    (0 when n + s < 0).
-
-    Raises
-    ------
-    ValueError
-        If x <= 0 or n < 0.
-    """
-    if x <= 0.0:
-        raise ValueError(f"laguerre_function requires x > 0, got {x}")
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    if s < 0:
-        st = -s
-        if n - st < 0:
-            return 0.0
-        sign = -1.0 if st % 2 else 1.0
-        return sign * laguerre_function(n - st, st, x)
-    s = float(s)
-    w_prev = math.exp(-0.5 * x + 0.5 * s * math.log(x) - 0.5 * log_gamma(s + 1.0))
-    if n == 0:
-        return w_prev
-    w = (s + 1.0 - x) / math.sqrt(s + 1.0) * w_prev
-    for k in range(1, n):
-        w, w_prev = (
-            ((2 * k + s + 1 - x) * w - math.sqrt(k * (k + s)) * w_prev)
-            / math.sqrt((k + 1) * (k + s + 1)),
-            w,
-        )
-    return w
-
-
 def laguerre_function_table(n_max, s_max, x):
     """Table W[j, p] of orthonormal Laguerre functions, vectorized in p.
 
-    Returns an array of shape (n_max + 1, s_max + 1) with
-    W[j, p] = laguerre_function(j, p, x) for 0 <= j <= n_max and
-    0 <= p <= s_max.  Entries whose recurrence seed underflows double
+    Returns an array of shape (n_max + 1, s_max + 1) whose entry W[j, p],
+    for 0 <= j <= n_max and 0 <= p <= s_max, is the L2(0, inf)-orthonormal
+    function sqrt(j!/(j+p)!) * exp(-x/2) * x^(p/2) * L_j^(p)(x).  The
+    recurrence runs on the normalized values directly, so no factorial
+    ever materializes and magnitudes stay O(1) for any degree.  Order
+    -p reduces to (-1)^p times W[j - p, p], which the caller reads off
+    the same table.  Entries whose recurrence seed underflows double
     precision come out exactly zero; every consumer in this package
     aggregates squares, where that is harmless.
 

@@ -1,9 +1,10 @@
 """Independent references that the tests compare jacspec against.
 
 Each one computes a quantity by a route that the package itself does
-not take: the Laguerre polynomial by its own three-term recurrence, the
-dense shift transform entry by entry from one table, and s_n as a column
-norm of the diagonalization matrix K.
+not take: the Laguerre polynomial by its own three-term recurrence, one
+orthonormal Laguerre function by a scalar recurrence with its own seed,
+the dense shift transform as a whole matrix from one table, and s_n as a
+column norm of the diagonalization matrix K.
 """
 
 import math
@@ -45,8 +46,44 @@ def laguerre_polynomial(n, s, x):
     return lk
 
 
+def laguerre_function(n, s, x):
+    """Orthonormal Laguerre function of degree n and integer order s.
+
+    This is sqrt(n!/(n+s)!) * exp(-x/2) * x^(s/2) * L_n^(s)(x), computed
+    one value at a time by the normalized degree recurrence.  Negative
+    orders reduce to (-1)^|s| times the positive-order function of
+    degree n + s (0 when n + s < 0).
+    """
+    if x <= 0.0:
+        raise ValueError(f"laguerre_function requires x > 0, got {x}")
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    if s < 0:
+        st = -s
+        if n - st < 0:
+            return 0.0
+        sign = -1.0 if st % 2 else 1.0
+        return sign * laguerre_function(n - st, st, x)
+    s = float(s)
+    w_prev = math.exp(-0.5 * x + 0.5 * s * math.log(x) - 0.5 * specfun.log_gamma(s + 1.0))
+    if n == 0:
+        return w_prev
+    w = (s + 1.0 - x) / math.sqrt(s + 1.0) * w_prev
+    for k in range(1, n):
+        w, w_prev = (
+            ((2 * k + s + 1 - x) * w - math.sqrt(k * (k + s)) * w_prev)
+            / math.sqrt((k + 1) * (k + s + 1)),
+            w,
+        )
+    return w
+
+
 def build_dense_u(N, g):
-    """Dense N x N truncation of the shift transform."""
+    """Dense N x N truncation of the shift transform.
+
+    Built for |g| and conjugated by the parity matrix P when g < 0,
+    since U(-g) = P U(g) P.
+    """
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
     if g == 0.0:
@@ -56,6 +93,8 @@ def build_dense_u(N, g):
     lo = np.minimum(nn, mm)
     u = w[lo, np.abs(nn - mm)]
     u[(nn > mm) & ((nn - mm) % 2 == 1)] *= -1.0
+    if g < 0.0:
+        u[(nn + mm) % 2 == 1] *= -1.0
     return u
 
 

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from jacspec import asymptotics, diagonalize, eigensolve, model, specfun
+from jacspec import asymptotics, diagonalize, eigensolve, model
+from oracles import laguerre_function
 
 
 def report(k, detail):
@@ -93,7 +94,7 @@ def test_criterion_04_remainder_rate():
     worst = 0.0
     for n in range(16, 201):
         brute = math.fsum(
-            specfun.laguerre_function(k, n - k, x) ** 2 / (n - k) ** 2
+            laguerre_function(k, n - k, x) ** 2 / (n - k) ** 2
             for k in range(0, 4 * n + 1)
             if k != n
         )
@@ -112,13 +113,15 @@ def test_criterion_05_oracle_triangle():
     worst = 0.0
     idx = np.arange(21)
     for g in (0.5, 0.7, 1.2):
+        closed_u = model.u_columns(idx, g, 20)
+        closed_rt = model.build_dense_rtilde(21, g)
         contour = model.u_element_contour_block(idx, idx, g, 256)
         conj_sum = model.r_tilde_oracle_sum_block(idx, idx, g, 110)
         for a in range(21):
             for b in range(21):
-                u1 = model.u_element(a, b, g)
+                u1 = float(closed_u[a, b])
                 u2 = float(contour[a, b])
-                r1 = model.r_tilde(a, b, g)
+                r1 = float(closed_rt[a, b])
                 r2 = float(conj_sum[a, b])
                 r3 = model.r_tilde_oracle_finite_sum(a, b, g)
                 worst = max(

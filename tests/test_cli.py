@@ -140,16 +140,6 @@ class TestAsymptoticsCommand:
         fits = json.loads(fits_line)["fits"]
         assert fits["s_n"]["alpha"] > 0
 
-    def test_synthetic_fit_mode(self, capsys):
-        code, out, _ = run_cli(
-            ["asymptotics", "--g", "0.5", "--c1", "1", "--c2", "0",
-             "--n", "1:32", "--synthetic-alpha", "0.375"],
-            capsys,
-        )
-        assert code == 0
-        fits = json.loads(out.strip().split("\n")[-1])["fits"]
-        assert fits["r1"]["alpha"] == pytest.approx(0.375, abs=1e-9)
-
     def test_json_contains_fits(self, capsys):
         code, out, _ = run_cli(
             ["asymptotics", "--g", "0.5", "--c1", "1", "--c2", "0",
@@ -204,10 +194,23 @@ class TestOracleCommand:
         for line in out.strip().split("\n"):
             assert float(line.split("=")[1]) == 0.0
 
+    def test_negative_coupling_matches_positive(self, capsys):
+        # U(-g) = P U(g) P, so every route sees the same magnitudes
+        code, out, err = run_cli(["oracle", "--g", "-0.5"], capsys)
+        assert code == 0, err
+        code, ref, _ = run_cli(["oracle", "--g", "0.5"], capsys)
+        assert code == 0
+        assert out == ref
+        assert len(out.strip().split("\n")) == 3
+
     def test_cap_limit(self, capsys):
         code, _, err = run_cli(["oracle", "--cap", "40"], capsys)
         assert code == 1
         assert "30" in err
+        code, out, err = run_cli(["oracle", "--cap", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "[0, 30]" in err
 
     def test_too_few_contour_points(self, capsys):
         code, _, err = run_cli(["oracle", "--cap", "4", "--points", "16"], capsys)

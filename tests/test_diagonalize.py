@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jacspec import asymptotics, diagonalize, model, specfun
-from oracles import s_n_as_k_column
+from oracles import laguerre_function, s_n_as_k_column
 
 
 class TestBuildBundle:
@@ -41,9 +41,9 @@ class TestBuildBundle:
         g = 0.6
         x = 4 * g * g
         b = diagonalize.build_bundle(g, 8)
-        w00 = specfun.laguerre_function(0, 0, x)
-        w01 = specfun.laguerre_function(0, 1, x)
-        w10 = specfun.laguerre_function(1, 0, x)
+        w00 = laguerre_function(0, 0, x)
+        w01 = laguerre_function(0, 1, x)
+        w10 = laguerre_function(1, 0, x)
         assert b.Rt[0, 0] == pytest.approx(w00, rel=1e-14)
         assert b.Rt[1, 1] == pytest.approx(-w10, rel=1e-14)
         assert b.Rt[0, 1] == pytest.approx(w01, rel=1e-14)
@@ -53,7 +53,7 @@ class TestBuildBundle:
         assert b.K[0, 1] == pytest.approx(-w01, rel=1e-14)
         assert b.K[1, 0] == pytest.approx(w01, rel=1e-14)
         # B = K Rt - diag(Rt_nn) K; entry (0, 0) assembled from scalars
-        b00 = -sum(model.r_tilde(0, j, g) ** 2 / j for j in range(1, 8))
+        b00 = -sum(laguerre_function(0, j, x) ** 2 / j for j in range(1, 8))
         assert b.B[0, 0] == pytest.approx(b00, rel=1e-12)
 
 

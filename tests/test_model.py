@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacspec import model, specfun
-from oracles import build_dense_u, laguerre_polynomial
+from oracles import build_dense_u, laguerre_function, laguerre_polynomial
 
 
 def contour(n, m, g, M=256):
@@ -16,6 +16,19 @@ def contour(n, m, g, M=256):
 
 def conjugation_sum(k, m, g, K):
     return float(model.r_tilde_oracle_sum_block([k], [m], g, K)[0, 0])
+
+
+def scalar_u(n, m, g):
+    """U[n, m] from the scalar reference, with U(-g) = P U(g) P."""
+    if g == 0.0:
+        return 1.0 if n == m else 0.0
+    sign = -1.0 if (g < 0.0 and (n - m) % 2) else 1.0
+    return sign * laguerre_function(n, m - n, g * g)
+
+
+def scalar_rtilde(k, m, g):
+    """Rt[k, m] from the scalar reference: (-1)^k U[k, m] at coupling 2 g."""
+    return (-1.0 if k % 2 else 1.0) * scalar_u(k, m, 2.0 * g)
 
 
 def dense(tri):
@@ -72,13 +85,13 @@ class TestParityDiag:
 class TestUElement:
     def test_corner(self):
         for g in (0.3, 1.1):
-            assert model.u_element(0, 0, g) == pytest.approx(
+            assert model.u_columns([0], g, 0)[0, 0] == pytest.approx(
                 math.exp(-g * g / 2), rel=1e-14
             )
 
     def test_identity_at_zero_coupling(self):
         for n, m in [(0, 0), (3, 3), (2, 5)]:
-            assert model.u_element(n, m, 0.0) == (1.0 if n == m else 0.0)
+            assert model.u_columns([m], 0.0, n)[n, 0] == (1.0 if n == m else 0.0)
 
     @pytest.mark.parametrize("g", [0.3, 0.7, 1.2])
     def test_column_mass_reaches_one(self, g):
@@ -93,15 +106,15 @@ class TestUElement:
         cols = model.u_columns(ns, g, 100)
         assert cols.shape == (101, 4)
         for i, n in enumerate(ns):
-            assert np.array_equal(cols[:, i], model.u_column(n, g, 100))
+            assert np.array_equal(cols[:, i], model.u_columns([n], g, 100)[:, 0])
             for k in (0, 3, 40, 77, 100):
-                assert cols[k, i] == pytest.approx(model.u_element(k, n, g), abs=1e-14)
+                assert cols[k, i] == pytest.approx(scalar_u(k, n, g), abs=1e-14)
 
     def test_partial_masses_monotone_and_bounded(self):
         g, n = 0.7, 25
         masses = []
         for k_max in (n, n + 10, n + 40, n + 120):
-            col = model.u_column(n, g, k_max)
+            col = model.u_columns([n], g, k_max)[:, 0]
             masses.append(float(col @ col))
         assert all(b >= a for a, b in zip(masses, masses[1:]))
         assert all(m <= 1.0 + 1e-12 for m in masses)
@@ -116,15 +129,14 @@ class TestUElementContour:
 
     def test_matches_closed_form_grid(self):
         g = 0.7
+        closed = model.u_columns(np.arange(21), g, 20)
         for n in range(0, 21, 4):
             for m in range(0, 21, 4):
-                assert abs(
-                    contour(n, m, g, 256) - model.u_element(n, m, g)
-                ) < 1e-10
+                assert abs(contour(n, m, g, 256) - closed[n, m]) < 1e-10
 
     def test_spot_against_function(self):
         got = contour(2, 5, 0.5, 256)
-        assert got == pytest.approx(specfun.laguerre_function(2, 3, 0.25), rel=1e-11)
+        assert got == pytest.approx(laguerre_function(2, 3, 0.25), rel=1e-11)
 
     def test_caps(self):
         with pytest.raises(ValueError):
@@ -136,12 +148,15 @@ class TestUElementContour:
 class TestRTilde:
     def test_corner(self):
         for g in (0.4, 0.9):
-            assert model.r_tilde(0, 0, g) == pytest.approx(math.exp(-2 * g * g), rel=1e-14)
+            assert model.build_dense_rtilde(1, g)[0, 0] == pytest.approx(
+                math.exp(-2 * g * g), rel=1e-14
+            )
 
     def test_parity_at_zero_coupling(self):
-        assert model.r_tilde(2, 2, 0.0) == 1.0
-        assert model.r_tilde(3, 3, 0.0) == -1.0
-        assert model.r_tilde(2, 4, 0.0) == 0.0
+        r = model.build_dense_rtilde(5, 0.0)
+        assert r[2, 2] == 1.0
+        assert r[3, 3] == -1.0
+        assert r[2, 4] == 0.0
 
     @given(
         st.integers(min_value=0, max_value=100),
@@ -149,7 +164,8 @@ class TestRTilde:
         st.sampled_from([0.3, 0.5, 0.7, 1.2]),
     )
     def test_symmetry_is_bit_exact(self, k, m, g):
-        assert model.r_tilde(k, m, g) == model.r_tilde(m, k, g)
+        r = model.build_dense_rtilde(max(k, m) + 1, g)
+        assert r[k, m] == r[m, k]
 
     def test_offset_diagonals_decay(self):
         # fixed-offset entries shrink as the block doubles
@@ -170,7 +186,7 @@ def conjugation_sum_reference(k, m, g, K):
     """One entry of the conjugation route from two separately built columns."""
     if g == 0.0:
         return (-1.0 if k % 2 else 1.0) if k == m else 0.0
-    uk, um = model.u_column(k, g, K), model.u_column(m, g, K)
+    uk, um = model.u_columns([k], g, K)[:, 0], model.u_columns([m], g, K)[:, 0]
     return float(np.sum(model.parity_diag(K + 1) * uk * um))
 
 
@@ -214,7 +230,7 @@ class TestRTildeOracles:
 
     def test_sum_against_closed_form(self):
         assert conjugation_sum(3, 7, 0.6, 120) == pytest.approx(
-            model.r_tilde(3, 7, 0.6), abs=1e-9
+            model.build_dense_rtilde(8, 0.6)[3, 7], abs=1e-9
         )
 
     def test_sum_zero_coupling(self):
@@ -231,7 +247,7 @@ class TestRTildeOracles:
         g, m = 0.45, 6
         expect = math.exp(-2 * g * g) * (2 * g) ** m / math.sqrt(math.factorial(m))
         assert model.r_tilde_oracle_finite_sum(0, m, g) == pytest.approx(expect, rel=1e-12)
-        assert expect == pytest.approx(specfun.laguerre_function(0, m, 4 * g * g), rel=1e-12)
+        assert expect == pytest.approx(laguerre_function(0, m, 4 * g * g), rel=1e-12)
 
     def test_finite_sum_diagonal(self):
         g, k = 0.55, 7
@@ -240,7 +256,7 @@ class TestRTildeOracles:
         )
         got = model.r_tilde_oracle_finite_sum(k, k, g)
         assert got == pytest.approx(expect, rel=1e-11)
-        assert got == pytest.approx(model.r_tilde(k, k, g), abs=1e-12)
+        assert got == pytest.approx(model.build_dense_rtilde(k + 1, g)[k, k], abs=1e-12)
 
     def test_finite_sum_zero_coupling(self):
         assert model.r_tilde_oracle_finite_sum(3, 3, 0.0) == -1.0
@@ -293,7 +309,7 @@ class TestRTildeOracles:
         st.sampled_from([0.3, 0.6, 1.0]),
     )
     def test_three_route_agreement(self, k, m, g):
-        closed = model.r_tilde(k, m, g)
+        closed = model.build_dense_rtilde(max(k, m) + 1, g)[k, m]
         assert abs(conjugation_sum(k, m, g, max(k, m) + 90) - closed) < 1e-9
         assert abs(model.r_tilde_oracle_finite_sum(k, m, g) - closed) < 1e-9
 
@@ -301,22 +317,24 @@ class TestRTildeOracles:
 class TestDenseBuilders:
     def test_single_entry(self):
         g = 0.7
-        assert build_dense_u(1, g)[0, 0] == model.u_element(0, 0, g)
-        assert model.build_dense_rtilde(1, g)[0, 0] == model.r_tilde(0, 0, g)
+        assert build_dense_u(1, g)[0, 0] == scalar_u(0, 0, g)
+        assert model.build_dense_rtilde(1, g)[0, 0] == scalar_rtilde(0, 0, g)
 
     def test_dense_u_matches_elements(self):
-        g, N = 0.6, 12
-        u = build_dense_u(N, g)
-        for n in range(N):
-            for m in range(N):
-                assert u[n, m] == pytest.approx(model.u_element(n, m, g), abs=1e-15)
+        N = 12
+        for g in (0.6, -0.6):
+            u = build_dense_u(N, g)
+            assert np.array_equal(u, model.u_columns(np.arange(N), g, N - 1))
+            for n in range(N):
+                for m in range(N):
+                    assert u[n, m] == pytest.approx(scalar_u(n, m, g), abs=1e-15)
 
     def test_dense_rtilde_matches_elements_and_symmetry(self):
         g, N = 0.8, 12
         r = model.build_dense_rtilde(N, g)
         for k in range(N):
             for m in range(N):
-                assert r[k, m] == pytest.approx(model.r_tilde(k, m, g), abs=1e-15)
+                assert r[k, m] == pytest.approx(scalar_rtilde(k, m, g), abs=1e-15)
         assert np.array_equal(r, r.T)
 
     def test_interior_orthogonality(self):
@@ -333,8 +351,9 @@ class TestDenseBuilders:
         err = np.abs(rt - model.build_dense_rtilde(N, g))[:100, :100].max()
         assert err < 1e-10
 
-    def test_basis_change_diagonalizes_base_operator(self):
-        g, N = 0.7, 400
+    @pytest.mark.parametrize("g", [0.7, -0.7])
+    def test_basis_change_diagonalizes_base_operator(self, g):
+        N = 400
         u = build_dense_u(N, g)
         a0 = dense(model.build_A(model.ModelParams(g=g), N))
         m = u.T @ a0 @ u
