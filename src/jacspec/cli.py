@@ -1,7 +1,8 @@
 """Batch command-line front end with CSV/JSON output.
 
 Subcommands: spectrum, asymptotics, verify, oracle.  Fully
-deterministic: identical invocations produce byte-identical output.
+deterministic: identical invocations on the same machine produce
+byte-identical output.
 Heavy imports happen inside main() so the JS_THREADS cap can take
 effect before numpy loads its BLAS.
 """
@@ -12,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 _DEFAULTS = {
     "g": 0.5,
@@ -45,21 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(_EXIT_USAGE)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: command, model parameters, range, output."""
-
-    command: str
-    g: float
-    c1: float
-    c2: float
-    n_lo: int
-    n_hi: int
-    tol: float
-    output_format: str
-    output_path: str
 
 
 def _parse_range(text):
@@ -117,12 +102,15 @@ def build_parser():
     return parser
 
 
-def _make_config(args):
+def _check_args(args):
+    from .eigensolve import TOL_FLOOR
+
     lo, hi = args.n
     if not (0 <= lo <= hi):
         raise SystemExit(_usage_error(f"invalid index range {lo}:{hi}"))
-    if not 1e-12 <= args.tol <= 1e-2:
-        raise SystemExit(_usage_error(f"tol must lie in [1e-12, 1e-2], got {args.tol}"))
+    if not TOL_FLOOR <= args.tol <= 1e-2:
+        raise SystemExit(_usage_error(
+            f"tol must lie in [{TOL_FLOOR:g}, 1e-2], got {args.tol}"))
     if args.command != "spectrum":
         from .specfun import MAX_COUPLING
 
@@ -130,17 +118,6 @@ def _make_config(args):
             raise SystemExit(_usage_error(
                 f"{args.command} needs |g| <= {MAX_COUPLING!r}, where the "
                 f"Laguerre seed e^(-2 g^2) is still a normal double; got {args.g!r}"))
-    return RunConfig(
-        command=args.command,
-        g=args.g,
-        c1=args.c1,
-        c2=args.c2,
-        n_lo=lo,
-        n_hi=hi,
-        tol=args.tol,
-        output_format=args.format,
-        output_path=args.out,
-    )
 
 
 def _usage_error(message):
@@ -148,16 +125,16 @@ def _usage_error(message):
     return _EXIT_USAGE
 
 
-def _config_dict(cfg):
+def _config_dict(args):
     return {
-        "command": cfg.command,
-        "g": cfg.g,
-        "c1": cfg.c1,
-        "c2": cfg.c2,
-        "n_lo": cfg.n_lo,
-        "n_hi": cfg.n_hi,
-        "tol": cfg.tol,
-        "format": cfg.output_format,
+        "command": args.command,
+        "g": args.g,
+        "c1": args.c1,
+        "c2": args.c2,
+        "n_lo": args.n[0],
+        "n_hi": args.n[1],
+        "tol": args.tol,
+        "format": args.format,
     }
 
 
@@ -169,11 +146,11 @@ def _format_cell(v):
     return str(v)
 
 
-def _emit_table(cfg, header, rows, fits=None, checks=None):
-    with _output(cfg.output_path) as fh:
-        if cfg.output_format == "json":
+def _emit_table(args, header, rows, fits=None, checks=None):
+    with _output(args.out) as fh:
+        if args.format == "json":
             payload = {
-                "config": _config_dict(cfg),
+                "config": _config_dict(args),
                 "rows": [dict(zip(header, row)) for row in rows],
                 "fits": fits or {},
                 "checks": checks or [],
@@ -198,13 +175,13 @@ def _output(path):
         yield sys.stdout
 
 
-def cmd_spectrum(cfg):
+def cmd_spectrum(args):
     from .eigensolve import SpectralRequest, converged_spectrum
     from .model import ModelParams
 
     spectrum = converged_spectrum(
-        ModelParams(g=cfg.g, c1=cfg.c1, c2=cfg.c2),
-        SpectralRequest(n_lo=cfg.n_lo, n_hi=cfg.n_hi, tol=cfg.tol),
+        ModelParams(g=args.g, c1=args.c1, c2=args.c2),
+        SpectralRequest(n_lo=args.n[0], n_hi=args.n[1], tol=args.tol),
     )
     header = ["n", "lambda", "truncation_n", "est_error", "converged"]
     rows = [
@@ -212,7 +189,7 @@ def cmd_spectrum(cfg):
          float(spectrum.est_error[i]), bool(spectrum.converged[i]))
         for i, n in enumerate(spectrum.indices)
     ]
-    _emit_table(cfg, header, rows)
+    _emit_table(args, header, rows)
     return 0 if bool(spectrum.converged.all()) else _EXIT_UNCONVERGED
 
 
@@ -232,12 +209,12 @@ def _fit_or_none(pairs):
     }
 
 
-def cmd_asymptotics(cfg):
+def cmd_asymptotics(args):
     from .asymptotics import residual_table
     from .model import ModelParams
 
     rows_data = residual_table(
-        ModelParams(g=cfg.g, c1=cfg.c1, c2=cfg.c2), cfg.n_lo, cfg.n_hi, tol=cfg.tol
+        ModelParams(g=args.g, c1=args.c1, c2=args.c2), *args.n, tol=args.tol
     )
     header = ["n", "lambda", "first_order", "diag_corr", "r1", "r2",
               "s_n", "s_n_tail_bound"]
@@ -245,7 +222,7 @@ def cmd_asymptotics(cfg):
         (r.n, r.lam, r.first_order, r.diag_corr, r.r1, r.r2, r.s_n, r.s_n_tail_bound)
         for r in rows_data
     ]
-    floor = 10.0 * cfg.tol
+    floor = 10.0 * args.tol
     fits = {
         "r1": _fit_or_none([(r.n, abs(r.r1)) for r in rows_data
                             if r.n >= 1 and abs(r.r1) >= floor]),
@@ -253,79 +230,46 @@ def cmd_asymptotics(cfg):
                             if r.n >= 1 and abs(r.r2) >= floor]),
         "s_n": _fit_or_none([(r.n, r.s_n) for r in rows_data if r.n >= 1]),
     }
-    _emit_table(cfg, header, rows, fits=fits)
+    _emit_table(args, header, rows, fits=fits)
     return 0 if all(r.converged for r in rows_data) else _EXIT_UNCONVERGED
 
 
-def cmd_verify(cfg, smax, xgrid, nmax):
+def cmd_verify(args):
     import numpy as np
 
     from . import diagonalize
-    from .model import u_column_mass
 
-    lo, hi, count = xgrid
-    checks = []
-
-    report = diagonalize.check_bessel_bound(
-        smax, np.logspace(np.log10(lo), np.log10(hi), count)
-    )
-    checks.append(_check_entry("bessel_bound", report.passed,
-                               report.max_ratio, report.note))
-
-    xs = sorted({1.0, 4.0 * cfg.g * cfg.g}) if cfg.g != 0.0 else [1.0]
-    for x in xs:
-        report = diagonalize.check_laguerre_bound(x, [0, 1], nmax)
-        checks.append(_check_entry(f"laguerre_bound(x={x:g})", report.passed,
-                                   report.max_ratio, report.note))
-
-    report = diagonalize.check_offset_decay(cfg.g, _DEFAULTS["offset_pmax"],
-                                            _DEFAULTS["offset_blocks"],
-                                            _DEFAULTS["offset_ntop"])
-    if report.note.startswith("skipped"):
-        checks.append({"name": "offset_decay", "status": "SKIPPED(g=0)",
-                       "metric": 0.0, "note": report.note})
-    else:
-        checks.append(_check_entry("offset_decay", report.passed,
-                                   report.max_ratio, report.note))
-
-    bundle = diagonalize.build_bundle(cfg.g, _DEFAULTS["similarity_n"])
-    defect = diagonalize.verify_similarity(bundle)
-    anti = float(np.max(np.abs(bundle.K + bundle.K.T)))
-    comm = float(np.max(np.abs(bundle.K * (np.arange(bundle.N)[:, None]
-                                           - np.arange(bundle.N)[None, :])
-                               - bundle.R1)))
-    checks.append(_check_entry("similarity_defect", defect < 1e-10, defect))
-    checks.append(_check_entry("k_antisymmetry", anti == 0.0, anti))
-    checks.append(_check_entry("commutator_identity", comm == 0.0, comm))
-
-    worst_mass = 0.0
-    for n in range(0, _DEFAULTS["orthonormality_nmax"] + 1, 10):
-        mass, _ = u_column_mass(n, cfg.g, tol=1e-10)
-        worst_mass = max(worst_mass, abs(1.0 - mass))
-    checks.append(_check_entry("orthonormality", worst_mass < 1e-9, worst_mass))
-
-    asym = float(np.max(np.abs(bundle.Rt - bundle.Rt.T)))
-    checks.append(_check_entry("rtilde_symmetry", asym == 0.0, asym))
-
-    for entry in checks:
-        sys.stdout.write(
-            f"{entry['status']:>12} {entry['name']} metric={entry['metric']!r}\n"
-        )
-    if cfg.output_format == "json" or cfg.output_path:
-        _emit_table(cfg, ["name", "status", "metric", "note"],
-                    [(c["name"], c["status"], c["metric"], c.get("note", ""))
-                     for c in checks],
-                    checks=checks)
-    failed = any(c["status"] == "FAIL" for c in checks)
-    return _EXIT_CHECK_FAILED if failed else 0
+    g = args.g
+    lo, hi, count = args.xgrid
+    reports = [
+        diagonalize.check_bessel_bound(
+            args.smax, np.logspace(np.log10(lo), np.log10(hi), count)),
+        *(diagonalize.check_laguerre_bound(x, [0, 1], args.nmax)
+          for x in (sorted({1.0, 4.0 * g * g}) if g != 0.0 else [1.0])),
+        diagonalize.check_offset_decay(g, _DEFAULTS["offset_pmax"],
+                                       _DEFAULTS["offset_blocks"],
+                                       _DEFAULTS["offset_ntop"]),
+    ]
+    # built only now, so that its N x N arrays and the Laguerre tables
+    # above never occupy memory together
+    bundle = diagonalize.build_bundle(g, _DEFAULTS["similarity_n"])
+    reports += [
+        diagonalize.check_similarity(bundle),
+        diagonalize.check_k_antisymmetry(bundle),
+        diagonalize.check_commutator_identity(bundle),
+        diagonalize.check_orthonormality(g, _DEFAULTS["orthonormality_nmax"]),
+        diagonalize.check_rtilde_symmetry(bundle),
+    ]
+    header = ["name", "status", "metric", "note"]
+    rows = [(r.name, r.status, r.max_ratio, r.note) for r in reports]
+    for name, status, metric, _ in rows:
+        sys.stdout.write(f"{status:>12} {name} metric={metric!r}\n")
+    if args.format == "json" or args.out:
+        _emit_table(args, header, rows, checks=[dict(zip(header, row)) for row in rows])
+    return 0 if all(r.passed for r in reports) else _EXIT_CHECK_FAILED
 
 
-def _check_entry(name, ok, metric, note=""):
-    return {"name": name, "status": "PASS" if ok else "FAIL",
-            "metric": float(metric), "note": note}
-
-
-def cmd_oracle(cfg, cap, points):
+def cmd_oracle(args):
     import numpy as np
 
     from .model import (
@@ -336,22 +280,23 @@ def cmd_oracle(cfg, cap, points):
         u_element_contour_block,
     )
 
+    cap, g = args.cap, args.g
     if not 0 <= cap <= 30:
         return _usage_error(f"oracle caps must lie in [0, 30], got {cap}")
     idx = np.arange(cap + 1)
-    closed_u = u_columns(idx, cfg.g, cap)
-    closed_rt = build_dense_rtilde(cap + 1, cfg.g)
-    contour = u_element_contour_block(idx, idx, cfg.g, points)
-    conj_sum = r_tilde_oracle_sum_block(idx, idx, cfg.g, cap + 80)
-    finite = np.array([[r_tilde_oracle_finite_sum(a, b, cfg.g) for b in range(cap + 1)]
+    closed_u = u_columns(idx, g, cap)
+    closed_rt = build_dense_rtilde(cap + 1, g)
+    contour = u_element_contour_block(idx, idx, g, args.points)
+    conj_sum = r_tilde_oracle_sum_block(idx, idx, g, cap + 80)
+    finite = np.array([[r_tilde_oracle_finite_sum(a, b, g) for b in range(cap + 1)]
                        for a in range(cap + 1)])
     rows = [("u_contour_vs_closed", float(np.max(np.abs(closed_u - contour)))),
             ("rtilde_sum_vs_closed", float(np.max(np.abs(closed_rt - conj_sum)))),
             ("rtilde_finite_sum_vs_closed", float(np.max(np.abs(closed_rt - finite))))]
     for name, dev in rows:
         sys.stdout.write(f"{name} max_deviation={dev!r}\n")
-    if cfg.output_format == "json" or cfg.output_path:
-        _emit_table(cfg, ["check", "max_deviation"], rows)
+    if args.format == "json" or args.out:
+        _emit_table(args, ["check", "max_deviation"], rows)
     ok = all(dev < _DEFAULTS["oracle_tol"] for _, dev in rows)
     return 0 if ok else _EXIT_CHECK_FAILED
 
@@ -382,15 +327,11 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         return _EXIT_USAGE
+    commands = {"spectrum": cmd_spectrum, "asymptotics": cmd_asymptotics,
+                "verify": cmd_verify, "oracle": cmd_oracle}
     try:
-        cfg = _make_config(args)
-        if cfg.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if cfg.command == "asymptotics":
-            return cmd_asymptotics(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg, args.smax, args.xgrid, args.nmax)
-        return cmd_oracle(cfg, args.cap, args.points)
+        _check_args(args)
+        return commands[args.command](args)
     except SystemExit as exc:
         return exc.code
     except (ValueError, ArithmeticError) as exc:

@@ -1,10 +1,12 @@
-"""Successive-diagonalization machinery and inequality certificates.
+"""Successive-diagonalization machinery and the checks behind it.
 
 Builds the similarity data (D1, R1, K, B) that strips the off-diagonal
-part of the conjugated parity perturbation to leading order, verifies
-the defining operator identity on finite sections, and runs numerical
-checks of the two inequality bounds and the offset-diagonal decay that
-the asymptotics rest on.
+part of the conjugated parity perturbation to leading order, and runs
+the numerical checks that ``jacspec verify`` prints: the two inequality
+bounds and the offset-diagonal decay that the asymptotics rest on, the
+similarity identity and the exact structure of its operators, and the
+orthonormality of U.  Every ``check_*`` function returns one
+``BoundCheckReport`` and holds its own threshold.
 """
 
 import math
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .model import build_dense_rtilde
+from .model import build_dense_rtilde, u_column_mass
 from .asymptotics import dyadic_block_maxima
 
 __all__ = [
@@ -21,10 +23,20 @@ __all__ = [
     "DiagonalizationBundle",
     "build_bundle",
     "check_bessel_bound",
+    "check_commutator_identity",
+    "check_k_antisymmetry",
     "check_laguerre_bound",
     "check_offset_decay",
+    "check_orthonormality",
+    "check_rtilde_symmetry",
+    "check_similarity",
     "verify_similarity",
 ]
+
+# largest similarity defect that is still round-off
+SIMILARITY_TOL = 1e-10
+# largest |1 - column mass| of U that counts as orthonormal
+ORTHONORMALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,7 +46,7 @@ class DiagonalizationBundle:
     K is antisymmetric with zero diagonal, and R1 is stored as the
     elementwise product K[i, j] * (i - j) so the commutator identity
     holds bit-exactly; it reproduces the off-diagonal part of Rt to
-    one ulp.
+    one ulp.  B = K Rt - diag(Rt) K.
     """
 
     N: int
@@ -48,17 +60,36 @@ class DiagonalizationBundle:
 
 @dataclass
 class BoundCheckReport:
-    """Grid evaluation of one inequality or decay check."""
+    """Outcome of one check, under the name it prints.
 
-    lemma_id: str
+    ``max_ratio`` is the printed metric; any entry in ``violations``
+    fails the check.  A check that does not apply says why in
+    ``skipped`` (``"g=0"``) and passes.
+    """
+
+    name: str
     grid_size: int
     max_ratio: float
     violations: list = field(default_factory=list)
     note: str = ""
+    skipped: str = ""
 
     @property
     def passed(self):
         return not self.violations
+
+    @property
+    def status(self):
+        if self.skipped:
+            return f"SKIPPED({self.skipped})"
+        return "PASS" if self.passed else "FAIL"
+
+
+def _metric_report(name, metric, ok, grid_size):
+    # a scalar metric against its threshold: one violation when it fails
+    metric = float(metric)
+    return BoundCheckReport(name=name, grid_size=grid_size, max_ratio=metric,
+                            violations=[] if ok else [{"metric": metric}])
 
 
 def build_bundle(g, N):
@@ -83,7 +114,7 @@ def build_bundle(g, N):
 def verify_similarity(bundle):
     """Max interior defect of the similarity identity.
 
-    Forms (I + K) T - D1 (I + K) against R1 - [D, K] + K Rt - diag K and
+    Forms (I + K) T - D1 (I + K) against R1 - [D, K] + B and
     returns the largest entrywise difference over the leading N/2 block;
     both sides are exact matrix algebra, so anything above round-off
     means a construction bug.
@@ -94,15 +125,47 @@ def verify_similarity(bundle):
     eye = np.eye(n)
     t = bundle.D + bundle.Rt
     left = (eye + bundle.K) @ t - bundle.D1 @ (eye + bundle.K)
-    rtnn = np.diag(bundle.Rt)
-    right = (
-        bundle.R1
-        - (bundle.D @ bundle.K - bundle.K @ bundle.D)
-        + bundle.K @ bundle.Rt
-        - rtnn[:, None] * bundle.K
-    )
+    right = bundle.R1 - (bundle.D @ bundle.K - bundle.K @ bundle.D) + bundle.B
     h = n // 2
     return float(np.max(np.abs((left - right)[:h, :h])))
+
+
+def check_similarity(bundle):
+    """The interior similarity defect stays below ``SIMILARITY_TOL``."""
+    defect = verify_similarity(bundle)
+    return _metric_report("similarity_defect", defect, defect < SIMILARITY_TOL,
+                          (bundle.N // 2) ** 2)
+
+
+def check_k_antisymmetry(bundle):
+    """K + K^T vanishes exactly."""
+    anti = np.max(np.abs(bundle.K + bundle.K.T))
+    return _metric_report("k_antisymmetry", anti, anti == 0.0, bundle.K.size)
+
+
+def check_commutator_identity(bundle):
+    """[D, K] = R1 exactly, entry by entry K[i, j] (i - j) = R1[i, j]."""
+    i = np.arange(bundle.N)
+    comm = np.max(np.abs(bundle.K * (i[:, None] - i[None, :]) - bundle.R1))
+    return _metric_report("commutator_identity", comm, comm == 0.0, bundle.K.size)
+
+
+def check_rtilde_symmetry(bundle):
+    """Rt equals its transpose exactly."""
+    asym = np.max(np.abs(bundle.Rt - bundle.Rt.T))
+    return _metric_report("rtilde_symmetry", asym, asym == 0.0, bundle.Rt.size)
+
+
+def check_orthonormality(g, n_max):
+    """Columns n = 0, 10, ..., n_max of U have unit mass.
+
+    The metric is the largest |1 - mass|, each mass summed to a certified
+    defect below 1e-10; it must stay below ``ORTHONORMALITY_TOL``.
+    """
+    ns = range(0, n_max + 1, 10)
+    worst = max((abs(1.0 - u_column_mass(n, g, tol=1e-10)[0]) for n in ns),
+                default=0.0)
+    return _metric_report("orthonormality", worst, worst < ORTHONORMALITY_TOL, len(ns))
 
 
 def check_bessel_bound(s_max, x_grid):
@@ -116,7 +179,7 @@ def check_bessel_bound(s_max, x_grid):
         raise ValueError("grid points must be positive")
     # one Miller pass per grid point yields every order
     table = np.array(
-        [specfun.bessel_j(s_max, float(x), all_orders=True) for x in x_grid]
+        [specfun.bessel_j(s_max, float(x)) for x in x_grid]
     ).reshape(x_grid.size, s_max + 1)
     worst = -math.inf
     violations = []
@@ -132,7 +195,7 @@ def check_bessel_bound(s_max, x_grid):
             if log_ratio > 0.0:
                 violations.append({"s": s, "x": float(x), "ratio": math.exp(log_ratio)})
     return BoundCheckReport(
-        lemma_id="bessel_bound",
+        name="bessel_bound",
         grid_size=(s_max + 1) * x_grid.size,
         max_ratio=math.exp(worst),
         violations=violations,
@@ -184,7 +247,7 @@ def check_laguerre_bound(x, s_list, n_max):
             f"last_decade_level={float(late.max(initial=0.0)) / early_sup:.6f}"
         )
     return BoundCheckReport(
-        lemma_id="laguerre_bound",
+        name=f"laguerre_bound(x={x:g})",
         grid_size=total,
         max_ratio=worst_ratio,
         violations=violations,
@@ -204,10 +267,11 @@ def check_offset_decay(g, p_max, n_blocks=5, n_top=2048):
         raise ValueError("p_max must be >= 1")
     if g == 0.0:
         return BoundCheckReport(
-            lemma_id="offset_decay",
+            name="offset_decay",
             grid_size=0,
             max_ratio=0.0,
             note="skipped: g = 0 leaves the parity diagonal constant",
+            skipped="g=0",
         )
     x = 4.0 * g * g
     j_hi = int(math.log2(n_top)) - 1
@@ -230,8 +294,8 @@ def check_offset_decay(g, p_max, n_blocks=5, n_top=2048):
             if ratio >= 1.0:
                 violations.append({"p": p, "block": j + 1, "ratio": float(ratio)})
     return BoundCheckReport(
-        lemma_id="offset_decay",
+        name="offset_decay",
         grid_size=count,
-        max_ratio=worst,
+        max_ratio=float(worst),
         violations=violations,
     )

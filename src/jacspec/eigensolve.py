@@ -21,6 +21,10 @@ __all__ = [
     "converged_spectrum",
 ]
 
+# smallest absolute tolerance a request may ask for: the double-precision
+# floor, which the CLI's --tol check reads too
+TOL_FLOOR = 1e-12
+
 _SAFMIN = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 _N_MAX = 2**21
@@ -44,7 +48,7 @@ class SpectralRequest:
             raise ValueError(f"bad index range [{self.n_lo}, {self.n_hi}]")
         if self.n_hi - self.n_lo > 10**5:
             raise ValueError("index range wider than 1e5")
-        if self.tol < 1e-12:
+        if self.tol < TOL_FLOOR:
             raise ValueError(f"tol below the double-precision floor: {self.tol}")
 
 

@@ -61,10 +61,6 @@ class Tridiagonal:
         if self.off.shape != (max(self.diag.shape[0] - 1, 0),):
             raise ValueError("off-diagonal must have length len(diag) - 1")
 
-    @property
-    def n(self):
-        return self.diag.shape[0]
-
 
 def build_A(p, N):
     """N x N truncation of the full operator for parameters p."""

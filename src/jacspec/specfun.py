@@ -2,7 +2,8 @@
 
 Everything is evaluated from scratch in double precision: orthonormal
 Laguerre functions (as tables over degrees and orders, from one
-recurrence kernel), integer-order Bessel J and log-gamma.
+recurrence kernel), integer-order Bessel J (every order up to s from one
+downward recurrence) and log-gamma.
 
 Accuracy, as measured against extended-precision oracles in the test
 suite:
@@ -12,7 +13,9 @@ suite:
   underflow of the recurrence seed flush to zero.  At x = 4 g^2 the
   seed e^(-x/2) stays a normal double only for |g| <= ``MAX_COUPLING``;
   beyond it precision is lost.
-* ``bessel_j``: 1e-10 (relative away from zeros) for x <= 1000, s <= 50.
+* ``bessel_j``: 1e-10 (relative away from zeros) for x <= 1000, s <= 50;
+  relative 2e-13 for 0.01 <= x <= 12.  Arguments below a floor
+  near 1e-55, where the recurrence would overflow, are refused.
 * ``log_gamma``: 1e-12 relative-or-absolute for z > 0.
 """
 
@@ -38,10 +41,6 @@ _LANCZOS_COF = (
     -0.261908384015814087e-4, 0.368991826595316234e-5,
 )
 _SQRT_2PI = 2.5066282746310005
-
-# ascending series is safe up to here for every order; beyond it the
-# normalized downward recurrence takes over
-_BESSEL_SERIES_CUTOFF = 12.0
 
 # largest |g| at which the Laguerre recurrence seed e^(-x/2), x = 4 g^2,
 # is a normal double (e^(-2 g^2) >= DBL_MIN): about 18.82.  Past it the
@@ -209,76 +208,40 @@ def _laguerre_function_rows(n_max, s_max, x):
         yield cur
 
 
-def bessel_j(s, x, all_orders=False):
-    """Bessel function of the first kind, integer order s >= 0, x >= 0.
+def bessel_j(s, x):
+    """Bessel functions of the first kind J_0(x), ..., J_s(x), s >= 0, x >= 0.
 
-    Ascending series for x <= 12, otherwise a normalized downward
-    (Miller) recurrence closed with the even-order sum rule.
-
-    With ``all_orders``, returns J_0(x), ..., J_s(x) as an array of
-    length s + 1: each order takes its own series for x <= 12, and
-    beyond, one Miller recurrence started above max(s, x) yields every
-    order.  Entry k equals ``bessel_j(k, x)`` bit for bit wherever that
-    call starts its recurrence at the same degree: for x <= 12, for
-    ceil(x) >= s, and for k = s.  Elsewhere they agree to rounding.
+    Returns an array of length s + 1 from one normalized downward
+    (Miller) recurrence, started above max(s, x) and closed with the
+    even-order sum rule J_0 + 2 (J_2 + J_4 + ...) = 1.
 
     Raises
     ------
     ValueError
-        If x < 0 or s < 0.
+        If s < 0, x < 0, or x > 0 is so small that the recurrence would
+        overflow (below about 2e-55 at s = 20; the floor grows with s).
     """
-    _check_bessel_args(s, x)
-    if not all_orders:
-        if x == 0.0:
-            return 1.0 if s == 0 else 0.0
-        if x <= _BESSEL_SERIES_CUTOFF:
-            return _bessel_series(s, x)
-        return float(_bessel_miller(s, x)[s])
-    if x == 0.0:
-        out = np.zeros(s + 1)
-        out[0] = 1.0
-        return out
-    if x <= _BESSEL_SERIES_CUTOFF:
-        return np.array([_bessel_series(k, x) for k in range(s + 1)])
-    return _bessel_miller(s, x)
-
-
-def _check_bessel_args(s, x):
     if s < 0:
         raise ValueError(f"order must be nonnegative, got {s}")
     if x < 0.0:
         raise ValueError(f"bessel_j requires x >= 0, got {x}")
-
-
-def _bessel_series(s, x):
-    lt0 = s * math.log(0.5 * x) - log_gamma(s + 1.0)
-    t = math.exp(lt0)
-    if t == 0.0:
-        return 0.0
-    terms = [t]
-    q = -0.25 * x * x
-    k = 0
-    while True:
-        k += 1
-        t *= q / (k * (s + k))
-        terms.append(t)
-        if abs(t) <= 1e-18 * (abs(terms[0]) + 1e-300) and k * (s + k) > -q:
-            break
-        if k > 300:
-            break
-    return math.fsum(terms)
-
-
-def _bessel_miller(s_max, x):
-    # orders 0..s_max from one downward recurrence; m is even
-    base = max(s_max, int(math.ceil(x)))
+    if x == 0.0:
+        out = np.zeros(s + 1)
+        out[0] = 1.0
+        return out
+    # m is even
+    base = max(s, int(math.ceil(x)))
     m = base + int(2.0 * math.sqrt(40.0 * (base + 2))) + 20
     if m % 2:
         m += 1
+    # a step multiplies by at most 2m/x, and values stay below 1e250
+    if 2.0 * m > 1e57 * x:
+        raise ValueError(
+            f"bessel_j up to order {s} needs x >= {2e-57 * m:.3g}, got {x!r}")
     jp = 0.0                      # J_{k+1}, unnormalized
     jc = 1.0e-30                  # J_k at k = m
     even_sum = jc
-    saved = [0.0] * (s_max + 1)
+    saved = [0.0] * (s + 1)
     for k in range(m, 0, -1):
         jm = (2.0 * k) / x * jc - jp
         jp = jc
@@ -289,10 +252,8 @@ def _bessel_miller(s_max, x):
             jp *= 1e-250
             even_sum *= 1e-250
             saved = [v * 1e-250 for v in saved]
-        if kk <= s_max:
+        if kk <= s:
             saved[kk] = jc
         if kk != 0 and kk % 2 == 0:
             even_sum += jc
-    # sum rule: J_0 + 2*(J_2 + J_4 + ...) = 1
-    norm = jc + 2.0 * even_sum
-    return np.array([v / norm for v in saved])
+    return np.array(saved) / (jc + 2.0 * even_sum)

@@ -171,7 +171,7 @@ class TestVerifyCommand:
         # harness self-test: a negated bound must surface as FAIL + exit 3
         def broken(s_max, grid):
             return diagonalize.BoundCheckReport(
-                lemma_id="bessel_bound", grid_size=1, max_ratio=2.0,
+                name="bessel_bound", grid_size=1, max_ratio=2.0,
                 violations=[{"s": 0, "x": 1.0, "ratio": 2.0}],
             )
 
@@ -179,6 +179,25 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--g", "0.5", "--nmax", "20000"], capsys)
         assert code == 3
         assert "FAIL" in out
+
+    def test_forced_similarity_defect_fails(self, capsys, monkeypatch):
+        # a moved check keeps its threshold: a defect of 1 fails alone
+        monkeypatch.setattr(diagonalize, "verify_similarity", lambda bundle: 1.0)
+        code, out, _ = run_cli(["verify", "--g", "0.5", "--nmax", "20000"], capsys)
+        assert code == 3
+        fails = [line.split() for line in out.splitlines() if "FAIL" in line]
+        assert fails == [["FAIL", "similarity_defect", "metric=1.0"]]
+
+    def test_forced_orthonormality_defect_fails(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(diagonalize, "u_column_mass",
+                            lambda n, g, tol: (1.0 - 1e-6, 0))
+        path = tmp_path / "verify.json"
+        code, _, _ = run_cli(["verify", "--g", "0.5", "--nmax", "20000",
+                              "--format", "json", "--out", str(path)], capsys)
+        assert code == 3
+        checks = json.loads(path.read_text())["checks"]
+        assert [(c["name"], c["status"]) for c in checks if c["status"] != "PASS"] == [
+            ("orthonormality", "FAIL")]
 
 
 class TestOracleCommand:

@@ -82,6 +82,54 @@ class TestVerifySimilarity:
             diagonalize.verify_similarity(diagonalize.build_bundle(0.5, 32))
 
 
+class TestBundleChecks:
+    @pytest.mark.parametrize("g", [0.0, 0.5, -1.2])
+    def test_structure_checks_pass(self, g):
+        b = diagonalize.build_bundle(g, 128)
+        for check in (diagonalize.check_similarity, diagonalize.check_k_antisymmetry,
+                      diagonalize.check_commutator_identity,
+                      diagonalize.check_rtilde_symmetry):
+            rep = check(b)
+            assert rep.passed and rep.status == "PASS", rep
+        assert diagonalize.check_k_antisymmetry(b).max_ratio == 0.0
+
+    def test_similarity_threshold(self, monkeypatch):
+        b = diagonalize.build_bundle(0.5, 64)
+        monkeypatch.setattr(diagonalize, "verify_similarity",
+                            lambda bundle: diagonalize.SIMILARITY_TOL)
+        rep = diagonalize.check_similarity(b)
+        assert rep.status == "FAIL"
+        assert rep.max_ratio == diagonalize.SIMILARITY_TOL
+
+    def test_broken_symmetry_fails(self):
+        b = diagonalize.build_bundle(0.5, 64)
+        b.Rt[3, 5] += 1e-15
+        rep = diagonalize.check_rtilde_symmetry(b)
+        assert not rep.passed
+        assert rep.max_ratio > 0.0
+
+    def test_orthonormality(self):
+        rep = diagonalize.check_orthonormality(0.7, 100)
+        assert rep.passed
+        assert rep.grid_size == 11
+        assert 0.0 <= rep.max_ratio < diagonalize.ORTHONORMALITY_TOL
+
+    def test_every_check_returns_one_report(self):
+        # a tracer reads grid_size off the result of every check_*
+        b = diagonalize.build_bundle(0.5, 64)
+        args = {"check_bessel_bound": (3, np.array([0.5, 2.0])),
+                "check_laguerre_bound": (1.0, [0, 1], 100),
+                "check_offset_decay": (0.5, 1),
+                "check_orthonormality": (0.5, 20)}
+        names = [n for n in diagonalize.__all__ if n.startswith("check_")]
+        assert len(names) == 8
+        for name in names:
+            rep = getattr(diagonalize, name)(*args.get(name, (b,)))
+            assert isinstance(rep, diagonalize.BoundCheckReport), name
+            assert isinstance(rep.grid_size, int) and rep.grid_size > 0, name
+            assert type(rep.max_ratio) is float, name
+
+
 class TestKColumnNorm:
     def test_zero_coupling(self):
         b = diagonalize.build_bundle(0.0, 64)
@@ -113,7 +161,7 @@ class TestBesselBound:
         x = 8.0 / math.pi
         bound = 2.0 * math.sqrt(2.0 / (math.pi * x))
         assert bound == pytest.approx(1.0, rel=1e-14)
-        assert abs(specfun.bessel_j(0, x)) <= 1.0
+        assert abs(specfun.bessel_j(0, x)[0]) <= 1.0
 
     def test_standard_grid_clean(self):
         rep = diagonalize.check_bessel_bound(
@@ -133,6 +181,7 @@ class TestLaguerreBound:
         rep = diagonalize.check_laguerre_bound(1.0, [0], 10**5)
         assert rep.violations == []
         assert rep.max_ratio == 1.0
+        assert rep.name == "laguerre_bound(x=1)"
 
     def test_order_two_needs_huge_degrees(self):
         with pytest.raises(ValueError):
@@ -156,6 +205,9 @@ class TestLaguerreBound:
 class TestOffsetDecay:
     def test_zero_coupling_skipped(self):
         rep = diagonalize.check_offset_decay(0.0, 5)
+        assert rep.skipped == "g=0"
+        assert rep.status == "SKIPPED(g=0)"
+        assert rep.passed
         assert rep.note.startswith("skipped")
         assert rep.grid_size == 0
 

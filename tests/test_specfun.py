@@ -267,9 +267,9 @@ class TestBlockedTable:
 
 class TestBesselJ:
     def test_at_origin(self):
-        assert specfun.bessel_j(0, 0.0) == 1.0
+        assert specfun.bessel_j(0, 0.0)[0] == 1.0
         for s in (1, 2, 17):
-            assert specfun.bessel_j(s, 0.0) == 0.0
+            assert specfun.bessel_j(s, 0.0)[s] == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -279,7 +279,7 @@ class TestBesselJ:
 
     def test_frozen_series_value(self):
         # series_bessel_mp(3, 8.5) computed once at 60 digits
-        assert specfun.bessel_j(3, 8.5) == pytest.approx(
+        assert specfun.bessel_j(3, 8.5)[3] == pytest.approx(
             -0.2626162038576848, rel=1e-10
         )
         assert series_bessel_mp(3, 8.5) == pytest.approx(-0.2626162038576848, rel=1e-13)
@@ -290,7 +290,7 @@ class TestBesselJ:
     )
     def test_small_argument_against_series_oracle(self, s, x):
         ref = series_bessel_mp(s, x, dps=60)
-        assert abs(specfun.bessel_j(s, x) - ref) <= 1e-10 * max(abs(ref), 1e-3)
+        assert abs(specfun.bessel_j(s, x)[s] - ref) <= 1e-10 * max(abs(ref), 1e-3)
 
     @settings(max_examples=30)
     @given(
@@ -300,7 +300,7 @@ class TestBesselJ:
     def test_against_mpmath(self, s, x):
         with mp.workdps(30):
             ref = float(mp.besselj(s, x))
-        got = specfun.bessel_j(s, x)
+        got = specfun.bessel_j(s, x)[s]
         assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-4)
 
     def test_frozen_miller_values(self):
@@ -310,35 +310,50 @@ class TestBesselJ:
                            (7, 100.0, 0.07017269098721278),
                            (1, 12.5, -0.16548380461475967),
                            (50, 999.0, -0.022858940107097686)]:
-            assert specfun.bessel_j(s, x) == want
+            assert specfun.bessel_j(s, x)[s] == want
 
     @pytest.mark.parametrize("s_max", [0, 5, 20, 50])
     def test_orders_match_single_order_calls(self, s_max):
-        # bit for bit where both start the Miller recurrence at the same
-        # degree (and for the series); to rounding where the single-order
-        # call starts lower
+        # bit for bit where both calls start the recurrence at the same
+        # degree; to rounding where the call for order s starts lower
         for x in list(np.logspace(-1, 3, 97)) + [0.0, 12.0, 13.5, 20.0]:
             x = float(x)
-            got = specfun.bessel_j(s_max, x, all_orders=True)
+            got = specfun.bessel_j(s_max, x)
             assert got.shape == (s_max + 1,)
             for s in range(s_max + 1):
-                want = specfun.bessel_j(s, x)
-                if x <= 12.0 or math.ceil(x) >= s_max or s == s_max:
+                want = specfun.bessel_j(s, x)[s]
+                if math.ceil(x) >= s_max or s == s_max:
                     assert got[s] == want, (s, x)
                 else:
                     assert abs(got[s] - want) <= 1e-14, (s, x)
 
     def test_orders_domain(self):
         with pytest.raises(ValueError):
-            specfun.bessel_j(-1, 1.0, all_orders=True)
+            specfun.bessel_j(-1, 1.0)
         with pytest.raises(ValueError):
-            specfun.bessel_j(3, -1.0, all_orders=True)
+            specfun.bessel_j(3, -1.0)
+        # below the floor the downward recurrence would overflow to nan
+        for s in (0, 20, 500):
+            with pytest.raises(ValueError, match="needs x >="):
+                specfun.bessel_j(s, 1e-60)
+        tiny = specfun.bessel_j(20, 1e-54)
+        assert tiny[0] == 1.0 and tiny[1] == pytest.approx(5e-55, rel=1e-14)
+
+    def test_small_arguments_against_mpmath(self):
+        # every order from one pass, down to tiny x where the ascending
+        # series used to serve
+        with mp.workdps(40):
+            for x in (1e-50, 1e-20, 1e-8, 1e-3, 0.01, 0.5, 3.0, 11.9):
+                got = specfun.bessel_j(30, x)
+                for s in range(31):
+                    ref = float(mp.besselj(s, x))
+                    assert abs(got[s] - ref) <= 2e-13 * abs(ref), (s, x)
 
     def test_bounded_by_one(self):
         xs = np.linspace(0.0, 1000.0, 211)
         for s in (0, 1, 5, 17, 33, 50):
             for x in xs:
-                assert abs(specfun.bessel_j(s, float(x))) <= 1.0 + 1e-12
+                assert abs(specfun.bessel_j(s, float(x))[s]) <= 1.0 + 1e-12
 
 
 class TestGaussLaguerre:
