@@ -10,6 +10,7 @@ effect before numpy loads its BLAS.
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,15 @@ _DEFAULTS = {
     "points": 256,
     "oracle_tol": 1e-9,
 }
+
+# largest x that verify's Bessel grid may reach: the Miller recurrence
+# starts at a degree of about x, so one point costs about 0.016 s there
+# and 1.6 s at x = 1e7
+_XGRID_MAX = 1e5
+# largest truncation of the oracle's conjugation sum; it starts at
+# cap + 80 and doubles until the tail of every column it reads is
+# negligible
+_ORACLE_K_MAX = 1600
 
 _EXIT_USAGE = 1
 _EXIT_UNCONVERGED = 2
@@ -62,9 +72,9 @@ def _parse_grid(text):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}")
-    if not (0.0 < lo < hi and count >= 2):
+    if not (0.0 < lo < hi <= _XGRID_MAX and count >= 2):
         raise argparse.ArgumentTypeError(
-            f"grid needs 0 < lo < hi and count >= 2, got {text!r}"
+            f"grid needs 0 < lo < hi <= {_XGRID_MAX:g} and count >= 2, got {text!r}"
         )
     return lo, hi, count
 
@@ -80,6 +90,7 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="jacspec", description=__doc__)
     parser.add_argument(
@@ -287,7 +298,15 @@ def cmd_oracle(args):
     closed_u = u_columns(idx, g, cap)
     closed_rt = build_dense_rtilde(cap + 1, g)
     contour = u_element_contour_block(idx, idx, g, args.points)
-    conj_sum = r_tilde_oracle_sum_block(idx, idx, g, cap + 80)
+    K = cap + 80
+    while True:
+        try:
+            conj_sum = r_tilde_oracle_sum_block(idx, idx, g, K)
+            break
+        except ValueError:
+            if K == _ORACLE_K_MAX:
+                raise
+            K = min(2 * K, _ORACLE_K_MAX)
     finite = np.array([[r_tilde_oracle_finite_sum(a, b, g) for b in range(cap + 1)]
                        for a in range(cap + 1)])
     rows = [("u_contour_vs_closed", float(np.max(np.abs(closed_u - contour)))),

@@ -3,7 +3,9 @@
 Sturm-sequence counts only, no eigenvectors.  ``converged_spectrum``
 finds each requested eigenvalue by multisection on a window of rows
 around its index, then certifies every result with one Sturm sweep over
-a truncation plus a bound on the infinite tail beyond it.  Only the
+the same window, plus bounds on what the rows before it and the
+infinite tail after it can change.  Certifying an index therefore costs
+O(W) for a window of 2W + 1 rows, whatever the truncation.  Only the
 indices that fail the certificate are solved again, on wider windows.
 """
 
@@ -58,9 +60,10 @@ class SpectrumSlice:
 
     A converged value is certified: the infinite operator has its
     eigenvalue of that index within ``est_error`` of it.  ``est_error``
-    is inf where no certificate was found.  ``truncation_N`` is the size
-    of the last certifying truncation; ``history`` holds one
-    (truncation size, indices still uncertified) pair per widening.
+    is inf where no certificate was found.  ``truncation_N`` is the
+    number of rows the last round's windows may reach, n_hi + W + 1;
+    ``history`` holds one (that size, indices still uncertified) pair
+    per widening.
     """
 
     indices: range
@@ -77,21 +80,23 @@ class SpectrumSlice:
             raise ValueError("converged eigenvalues are not in ascending order")
 
 
-def _sturm_pivots(diag, off2, xs, pivmin):
-    """LDL^T pivots of T - x, for every x in xs at once.
+def _sturm_pivots(diag, off2, a, L, xs, lead, pivmin):
+    """LDL^T pivots of the rows [a[i], a[i] + L) of T - xs[i], for every lane i.
 
-    Returns the number of negative pivots among all rows but the last,
-    and the last pivot.  A pivot smaller than pivmin in magnitude is
-    replaced by -pivmin before it is counted, as LAPACK's dlaebz does,
-    so an exactly zero pivot counts as negative.  The last pivot is
-    negative after that replacement exactly when it is below pivmin.
+    The first pivot of lane i is raised by lead[i].  Returns the number
+    of negative pivots among all rows but the last, and the last pivot.
+    A pivot smaller than pivmin in magnitude is replaced by -pivmin
+    before it is counted, as LAPACK's dlaebz does, so an exactly zero
+    pivot counts as negative.  The last pivot is negative after that
+    replacement exactly when it is below pivmin.
     """
-    q = diag[0] - xs
+    q = (diag[a] - xs) + lead
     count = np.zeros(xs.shape, dtype=np.int64)
-    for i in range(1, diag.shape[0]):
+    for j in range(1, L):
         np.putmask(q, np.abs(q) < pivmin, -pivmin)
         count += q < 0.0
-        q = (diag[i] - xs) - off2[i - 1] / q
+        k = a + j
+        q = (diag[k] - xs) - off2[k - 1] / q
     return count, q
 
 
@@ -150,30 +155,60 @@ def _window_bisect(p, ns, W, tol):
     return lo + 0.5 * width
 
 
-def _operator_counts(p, M, xs):
-    """Bounds on the number of eigenvalues of the infinite operator below xs.
+def _operator_counts(p, M, W, ns, x_lo, x_hi):
+    """Bounds on the operator's eigenvalue counts, on the window of each ns[i].
 
-    One Sturm sweep over the M-row truncation, through ``build_A``.  Its
-    count is a lower bound, since truncation raises every eigenvalue.
-    Below x, the rows from M on are bounded below by tail_lo (Gershgorin),
-    so eliminating them subtracts from the last pivot some delta in
-    [0, g^2 M / (tail_lo - x)]; the count with the largest delta is an
-    upper bound.  Where x >= tail_lo there is no upper bound (int64 max).
+    Returns an upper bound on the number of eigenvalues below x_lo[i]
+    and a lower bound on the number below x_hi[i].  Both come from one
+    Sturm sweep over the rows [a, a + L) of ``build_A(p, M)``, with
+    a = max(n - W, 0) and L = min(2W + 1, M): the rows that the
+    multisection for index n = ns[i] saw.  The rows outside the window
+    are eliminated through two Schur complements, bounded by Gershgorin:
+
+    - lead, rows [0, a): their block's eigenvalues lie below lead_hi, so
+      for x above it the lead holds exactly a eigenvalues below x and
+      raises the window's first pivot by some delta in
+      [0, g^2 a / (x - lead_hi)];
+    - tail, rows from b = a + L on: their block's eigenvalues lie above
+      tail_lo, so for x below it the tail holds none below x and lowers
+      the window's last pivot by some delta in [0, g^2 b / (tail_lo - x)].
+
+    Raising the first pivot can only remove negative pivots and lowering
+    the last can only add one, so a plus the window's count with lead
+    delta 0 and the largest tail delta is an upper bound, and a plus the
+    count with the largest lead delta and tail delta 0 is a lower bound
+    (which needs no tail bracket: a leading block never counts more than
+    the whole).  Where a bracket cannot close the bound is the trivial
+    one: int64 max above, 0 below.
     """
     T = build_A(p, M)
     off2 = T.off * T.off
     pivmin = _pivmin(off2)
-    count, q = _sturm_pivots(T.diag, off2, xs, pivmin)
-    # row k >= M has k + min c - |g| (sqrt(k) + sqrt(k+1)) >= f(k) + min c
-    # with f(t) = t - 2|g| sqrt(t + 1), smallest over t >= M at
-    # t = max(M, g^2 - 1)
-    t = max(float(M), p.g * p.g - 1.0)
-    tail_lo = t + min(p.c1, p.c2) - 2.0 * abs(p.g) * math.sqrt(t + 1.0)
-    below_tail = xs < tail_lo
-    delta = p.g * p.g * M / np.where(below_tail, tail_lo - xs, 1.0)
-    fewest = count + (q < pivmin)
-    most = np.where(below_tail, count + (q - delta < pivmin), np.iinfo(np.int64).max)
-    return fewest, most
+    g2 = p.g * p.g
+    L = min(2 * W + 1, M)
+    a = np.maximum(ns - W, 0)
+    b = a + L
+    # row k < a has k + max c + |g| (sqrt(k) + sqrt(k+1)) <= lead_hi
+    lead_hi = a - 1.0 + max(p.c1, p.c2) + 2.0 * abs(p.g) * np.sqrt(a)
+    # row k >= b has k + min c - |g| (sqrt(k) + sqrt(k+1)) >= f(k) + min c
+    # with f(t) = t - 2|g| sqrt(t + 1), smallest over t >= b at
+    # t = max(b, g^2 - 1)
+    t = np.maximum(b, g2 - 1.0)
+    tail_lo = t + min(p.c1, p.c2) - 2.0 * abs(p.g) * np.sqrt(t + 1.0)
+    lo_closes = ((a == 0) | (x_lo > lead_hi)) & (x_lo < tail_lo)
+    hi_closes = (a == 0) | (x_hi > lead_hi)
+    lead = g2 * a / np.where(hi_closes & (a > 0), x_hi - lead_hi, 1.0)
+    tail = g2 * b / np.where(lo_closes, tail_lo - x_lo, 1.0)
+    # one sweep: the x_lo lanes, then the x_hi lanes
+    aa = np.concatenate([a, a])
+    count, q = _sturm_pivots(T.diag, off2, aa, L, np.concatenate([x_lo, x_hi]),
+                             np.concatenate([np.zeros(a.shape), lead]), pivmin)
+    count += aa
+    k = ns.size
+    most = np.where(lo_closes, count[:k] + (q[:k] - tail < pivmin),
+                    np.iinfo(np.int64).max)
+    fewest = np.where(hi_closes, count[k:] + (q[k:] < pivmin), 0)
+    return most, fewest
 
 
 def _rounding_term(p, M, tol):
@@ -193,29 +228,34 @@ def _rounding_term(p, M, tol):
             + 5.0 * _EPS * g * math.sqrt(M))
 
 
-def _certify(p, ns, vals, tol, M):
+def _certify(p, ns, vals, tol, W, M):
     """Which vals[i] lie within tol/2 of eigenvalue ns[i] of the operator.
 
     The interval around vals[i] is moved out to at least one ulp on each
     side.  It holds eigenvalue n when at most n eigenvalues lie below its
-    left end and more than n below its right end.  Returns the flags and
-    the half-widths, which include the rounding term of the counts.
+    left end and more than n below its right end, as bounded by
+    ``_operator_counts`` on the window that vals[i] came from.  Returns
+    the flags and the half-widths, which include the rounding term of
+    the counts.
     """
     x_lo = np.minimum(vals - 0.5 * tol, np.nextafter(vals, -np.inf))
     x_hi = np.maximum(vals + 0.5 * tol, np.nextafter(vals, np.inf))
-    fewest, most = _operator_counts(p, M, np.concatenate([x_lo, x_hi]))
-    ok = (most[: ns.size] <= ns) & (fewest[ns.size:] > ns)
+    most, fewest = _operator_counts(p, M, W, ns, x_lo, x_hi)
+    ok = (most <= ns) & (fewest > ns)
     return ok, np.maximum(vals - x_lo, x_hi - vals) + _rounding_term(p, M, tol)
 
 
 def converged_spectrum(p, req):
     """Certified eigenvalues of the infinite operator for indices in req.
 
-    Each index n is found on the rows [n - W, n + W] with
+    Each index n is found on the rows [n - W, n + W] (clipped at 0) with
     W = ceil(3 |g| sqrt(n_hi + 1)) + 64, then certified by ``_certify``
-    on M = n_hi + W + 1 rows.  Indices that fail are solved again with
-    W doubled, as long as M stays within the size cap; those that still
-    fail are reported through the ``converged`` flags, never silently.
+    on the same rows, read from the truncation of M = n_hi + W + 1 rows
+    that every window lies in; the rows before and after the window
+    enter through Gershgorin-bounded Schur complements.  Indices that
+    fail are solved again with W doubled, as long as M stays within the
+    size cap; those that still fail are reported through the
+    ``converged`` flags, never silently.
     Raises ValueError when |c1 - c2| overflows, when even the first
     truncation exceeds the cap, and when tol is below twice the rounding
     term of its Sturm count, which ``est_error`` includes.
@@ -244,7 +284,7 @@ def converged_spectrum(p, req):
     while True:
         M = req.n_hi + W + 1
         vals[todo] = _window_bisect(p, ns[todo], W, req.tol / 8.0)
-        ok, width = _certify(p, ns[todo], vals[todo], req.tol, M)
+        ok, width = _certify(p, ns[todo], vals[todo], req.tol, W, M)
         half[todo[ok]] = width[ok]
         todo = todo[~ok]
         if W > W0:

@@ -3,15 +3,16 @@
 Each one computes a quantity by a route that the package itself does
 not take: the Laguerre polynomial by its own three-term recurrence, one
 orthonormal Laguerre function by a scalar recurrence with its own seed,
-the dense shift transform as a whole matrix from one table, and s_n as a
-column norm of the diagonalization matrix K.
+the dense shift transform as a whole matrix from one table, s_n as a
+column norm of the diagonalization matrix K, and the eigenvalue
+certificate as one Sturm sweep over the whole truncation.
 """
 
 import math
 
 import numpy as np
 
-from jacspec import specfun
+from jacspec import eigensolve, model, specfun
 
 
 def laguerre_polynomial(n, s, x):
@@ -103,3 +104,39 @@ def s_n_as_k_column(bundle, n):
     if not 0 <= n < bundle.N // 2:
         raise IndexError(f"column {n} outside the interior of N={bundle.N}")
     return float(np.linalg.norm(bundle.K[:, n]))
+
+
+def global_certify(p, ns, vals, tol, M):
+    """Certificate of eigenvalues ns of the operator, over all M rows.
+
+    Each count below x is bounded by one Sturm sweep over the whole
+    M-row truncation (a lower bound: truncation raises every
+    eigenvalue) and by that sweep with its last pivot lowered by the
+    largest Schur complement of the rows from M on, g^2 M / (tail_lo - x)
+    with tail_lo their Gershgorin floor (an upper bound, for x below
+    tail_lo).  vals[i] is certified when [vals[i] -+ tol/2], moved out to
+    at least one ulp, holds eigenvalue ns[i] by these bounds.  Returns
+    the flags and the half-widths with the Sturm rounding term, as
+    ``eigensolve._certify`` does.
+    """
+    x_lo = np.minimum(vals - 0.5 * tol, np.nextafter(vals, -np.inf))
+    x_hi = np.maximum(vals + 0.5 * tol, np.nextafter(vals, np.inf))
+    xs = np.concatenate([x_lo, x_hi])
+    T = model.build_A(p, M)
+    off2 = T.off * T.off
+    pivmin = np.finfo(float).tiny * max(1.0, float(off2.max(initial=0.0)))
+    q = T.diag[0] - xs
+    count = np.zeros(xs.shape, dtype=np.int64)
+    for i in range(1, M):
+        np.putmask(q, np.abs(q) < pivmin, -pivmin)
+        count += q < 0.0
+        q = (T.diag[i] - xs) - off2[i - 1] / q
+    t = max(float(M), p.g * p.g - 1.0)
+    tail_lo = t + min(p.c1, p.c2) - 2.0 * abs(p.g) * math.sqrt(t + 1.0)
+    below_tail = xs < tail_lo
+    delta = p.g * p.g * M / np.where(below_tail, tail_lo - xs, 1.0)
+    fewest = count + (q < pivmin)
+    most = np.where(below_tail, count + (q - delta < pivmin), np.iinfo(np.int64).max)
+    ok = (most[: ns.size] <= ns) & (fewest[ns.size:] > ns)
+    half = np.maximum(vals - x_lo, x_hi - vals) + eigensolve._rounding_term(p, M, tol)
+    return ok, half

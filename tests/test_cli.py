@@ -236,6 +236,23 @@ class TestOracleCommand:
         assert code == 1
         assert "64" in err
 
+    @pytest.mark.parametrize("g", ["4", "5"])
+    def test_conjugation_sum_grows_its_truncation(self, g, capsys):
+        # K = cap + 80 leaves a column tail above 1e-13 here; K doubles
+        code, out, err = run_cli(["oracle", "--g", g], capsys)
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        assert len(lines) == 3
+        for line in lines:
+            assert float(line.split("=")[1]) < 1e-10
+
+    def test_conjugation_sum_beyond_its_cap_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_ORACLE_K_MAX", 100)
+        code, out, err = run_cli(["oracle", "--g", "4"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "truncation K=100" in err
+
     def test_contour_arithmetic_failure_exits_one(self, capsys):
         # from g ~ 7 the contour route's imaginary residue passes 1e-8
         code, out, err = run_cli(["oracle", "--g", "7"], capsys)
@@ -280,6 +297,14 @@ class TestVerifyFlags:
         code, _, _ = run_cli(["verify", "--xgrid", "1:10:1"], capsys)
         assert code == 1
 
+    def test_grid_beyond_limit_exits_one(self, capsys):
+        # refused while parsing, before any Bessel function is evaluated
+        code, out, err = run_cli(["verify", "--xgrid", "1:1e10:200"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "hi <= 100000" in err
+        assert cli._parse_grid("1:1e5:2") == (1.0, 1e5, 2)
+
     def test_range_wider_than_cap_exits_one(self, capsys):
         code, _, _ = run_cli(["spectrum", "--n", "0:200001"], capsys)
         assert code == 1
@@ -311,6 +336,31 @@ class TestHarness:
             capture_output=True, text=True, check=True, env=env,
         )
         assert out.stdout.strip() == "False"
+
+    def test_repeated_calls_match_separate_processes(self):
+        # main() builds its parser once per process and reuses it
+        argvs = [["verify", "--g", "0.3"], ["spectrum", "--n", "0:3"],
+                 ["verify", "--xgrid", "0:1:5"]]
+        separate = []
+        for argv in argvs:
+            done = subprocess.run([sys.executable, "-m", "jacspec.cli", *argv],
+                                  capture_output=True, text=True)
+            separate.append([done.returncode, done.stdout])
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from jacspec import cli\n"
+            "res = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        code = cli.main(argv)\n"
+            "    res.append([code, buf.getvalue()])\n"
+            "print(json.dumps(res))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == separate
+        assert [code for code, _ in separate] == [0, 0, 1]
 
     def test_console_entry_point(self):
         out = subprocess.run(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from jacspec import eigensolve, model
+from oracles import global_certify
 
 
 def random_tridiagonal(rng, n):
@@ -19,7 +20,8 @@ def sturm_count(T, x):
     """Eigenvalues of T below x, counted as the certificate counts them."""
     off2 = T.off * T.off
     pivmin = eigensolve._pivmin(off2)
-    count, q = eigensolve._sturm_pivots(T.diag, off2, np.array([float(x)]), pivmin)
+    count, q = eigensolve._sturm_pivots(T.diag, off2, np.zeros(1, dtype=int),
+                                        T.diag.size, np.array([float(x)]), 0.0, pivmin)
     return int(count[0] + (q[0] < pivmin))
 
 
@@ -152,19 +154,52 @@ class TestConvergedSpectrum:
     @pytest.mark.parametrize("g, c1, c2", [(0.5, 1.0, 0.0), (2.0, 0.3, -0.4),
                                            (6.0, 0.0, 0.5)])
     def test_tail_corrected_count_is_exact(self, g, c1, c2):
-        # where the tail bracket closes, the count is that of the operator,
-        # so a 4x larger truncation (LAPACK) must give the same count
+        # where the window bracket closes, the count is that of the
+        # operator, so a 4x larger truncation (LAPACK) must give the same
+        # count; windows sized as the solver sizes them, and 33-row ones
+        # whose lead bracket (rows before the window) often cannot close
         p = model.ModelParams(g=g, c1=c1, c2=c2)
-        M = 300
-        xs = np.linspace(-g * g - 1.0, M + 10.0, 97)
-        fewest, most = eigensolve._operator_counts(p, M, xs)
-        exact = fewest == most
-        assert exact.sum() > 20
-        big = model.build_A(p, 4 * M)
+        n_top = 300
+        xs = np.linspace(-g * g - 1.0, n_top + 10.0, 97)
+        ns = np.clip(np.rint(xs + g * g).astype(int), 0, n_top)
+        for W in (math.ceil(3.0 * abs(g) * math.sqrt(n_top + 1)) + eigensolve._W_PAD, 16):
+            M = n_top + W + 1
+            most, fewest = eigensolve._operator_counts(p, M, W, ns, xs, xs)
+            exact = fewest == most
+            if W > 16:
+                assert exact.sum() > 20
+                if g < 6.0:
+                    assert (exact & (ns > W)).sum() > 20
+            big = model.build_A(p, 4 * M)
+            lam = eigvalsh_tridiagonal(big.diag, big.off)
+            counts = np.searchsorted(lam, xs, side="left")
+            np.testing.assert_array_equal(fewest[exact], counts[exact])
+            assert np.all(fewest <= counts) and np.all(counts <= most)
+
+    @pytest.mark.parametrize("g, c1, c2", [(0.5, 1.0, 0.0), (2.0, 0.3, -0.4),
+                                           (6.0, 0.0, 0.5)])
+    @pytest.mark.parametrize("W", [4, 16, 64])
+    def test_window_bracket_holds_around_each_window(self, g, c1, c2, W):
+        # every tenth window up to n = 300, at 41 points across +-2W of its
+        # Weyl centre and at 1e-6 and 1e-2 on each side of its eigenvalue
+        p = model.ModelParams(g=g, c1=c1, c2=c2)
+        big = model.build_A(p, 3000)
         lam = eigvalsh_tridiagonal(big.diag, big.off)
+        centres = np.arange(0, 301, 10)
+        spread = np.linspace(-2.0 * W, 2.0 * W, 41)
+        near = np.array([-1e-2, -1e-6, 1e-6, 1e-2])
+        ns = np.repeat(centres, spread.size + near.size)
+        xs = np.concatenate([np.concatenate([n - g * g + spread, lam[n] + near])
+                             for n in centres])
         counts = np.searchsorted(lam, xs, side="left")
-        np.testing.assert_array_equal(fewest[exact], counts[exact])
+        most, fewest = eigensolve._operator_counts(p, 300 + W + 1, W, ns, xs, xs)
         assert np.all(fewest <= counts) and np.all(counts <= most)
+        exact = fewest == most
+        # nine-row windows are far narrower than 3 g sqrt(n) at g = 6 and
+        # close nowhere there
+        if (g, W) != (6.0, 4):
+            assert exact.sum() > 10
+        np.testing.assert_array_equal(fewest[exact], counts[exact])
 
     def test_narrow_window_is_widened(self, monkeypatch):
         # W = 1 at first: three-row windows give wrong candidates
@@ -223,3 +258,64 @@ class TestConvergedSpectrum:
         p = model.ModelParams(g=1e200)
         with pytest.raises(ValueError, match="truncation"):
             eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(0, 3, 1e-8))
+
+
+class TestWindowCertificate:
+    """The certificate on each index's window against the one over all rows."""
+
+    # (g, c1, c2, n_lo, n_hi, tol); at g = 12 the first round certifies
+    # only some of the indices
+    SETS = [(0.5, 1.0, 0.0, 16, 4095, 1e-8), (0.1, 1.0, 0.0, 0, 40, 1e-8),
+            (1.2, 0.7, 0.7, 900, 931, 1e-8), (0.0, 1.0, 0.0, 0, 30, 1e-8),
+            (12.0, 1.0, 0.0, 0, 500, 1e-6), (-0.7, 0.2, 1.5, 100, 1500, 1e-10),
+            (0.5, 1.0, 0.0, 4090, 4095, 1e-11)]
+
+    @staticmethod
+    def first_round(g, c1, c2, n_lo, n_hi, tol):
+        p = model.ModelParams(g=g, c1=c1, c2=c2)
+        W = math.ceil(3.0 * abs(g) * math.sqrt(n_hi + 1) + eigensolve._W_PAD)
+        ns = np.arange(n_lo, n_hi + 1)
+        vals = eigensolve._window_bisect(p, ns, W, tol / 8.0)
+        return p, ns, vals, W, n_hi + W + 1
+
+    @pytest.mark.parametrize("case", SETS, ids=lambda c: f"g{c[0]}-n{c[3]}:{c[4]}")
+    def test_matches_global_certificate(self, case):
+        p, ns, vals, W, M = self.first_round(*case)
+        tol = case[-1]
+        ok, half = eigensolve._certify(p, ns, vals, tol, W, M)
+        ref_ok, ref_half = global_certify(p, ns, vals, tol, M)
+        np.testing.assert_array_equal(ok, ref_ok)
+        np.testing.assert_array_equal(half, ref_half)
+        if case[0] == 12.0:
+            assert 0 < ok.sum() < ok.size
+        else:
+            assert ok.all()
+
+    @pytest.mark.parametrize("case", SETS, ids=lambda c: f"g{c[0]}-n{c[3]}:{c[4]}")
+    def test_moved_candidate_is_never_certified(self, case):
+        p, ns, vals, W, M = self.first_round(*case)
+        tol = case[-1]
+        for shift in (-0.6 * tol, 0.6 * tol):
+            ok, _ = eigensolve._certify(p, ns, vals + shift, tol, W, M)
+            assert not ok.any()
+            ref_ok, _ = global_certify(p, ns, vals + shift, tol, M)
+            assert not ref_ok.any()
+
+    def test_open_lead_bracket_is_not_certified(self):
+        # W = 1: the rows before each window reach up to about n + sqrt(n)
+        # (Gershgorin), above the eigenvalue, so even exact values fail
+        p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
+        ns = np.arange(30, 41)
+        ok, _ = eigensolve._certify(p, ns, stebz(p, 440, ns), 1e-9, 1, 42)
+        assert not ok.any()
+
+    def test_open_lead_bracket_is_widened_and_flagged(self, monkeypatch):
+        # starts at W = 1; the size cap stops the widening at W = 4, where
+        # no lead bracket closes yet, so nothing may be reported converged
+        monkeypatch.setattr(eigensolve, "_W_PAD", 0.5 - 3.0 * 0.5 * math.sqrt(41))
+        monkeypatch.setattr(eigensolve, "_N_MAX", 48)
+        p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
+        sl = eigensolve.converged_spectrum(p, eigensolve.SpectralRequest(30, 40, 1e-9))
+        assert [M for M, _ in sl.history] == [43, 45]
+        assert not sl.converged.any()
+        assert np.all(np.isinf(sl.est_error))
