@@ -40,6 +40,16 @@ _DEFAULTS = {
 # starts at a degree of about x, so one point costs about 0.016 s there
 # and 1.6 s at x = 1e7
 _XGRID_MAX = 1e5
+# most points verify's Bessel grid may hold: near hi = 1e5 a point costs
+# about 6.6 ms, so the largest grid takes about 13 s
+_XGRID_COUNT_MAX = 2000
+# smallest --nmax verify accepts.  laguerre_bound(x=1), which always
+# runs, takes its early sup over n <= nmax // 10.  Past the turning
+# point, w_n(x) oscillates in n with phase 2 sqrt(n x) (Hilb's formula),
+# so one full period at x = 1 takes n up to pi^2 = 9.87: below
+# nmax // 10 = 10 the early window holds less than one oscillation and
+# there is no sup to judge the later degrees against; 10 * ceil(pi^2)
+_NMAX_MIN = 100
 # largest truncation of the oracle's conjugation sum; it starts at
 # cap + 80 and doubles until the tail of every column it reads is
 # negligible
@@ -72,9 +82,10 @@ def _parse_grid(text):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}")
-    if not (0.0 < lo < hi <= _XGRID_MAX and count >= 2):
+    if not (0.0 < lo < hi <= _XGRID_MAX and 2 <= count <= _XGRID_COUNT_MAX):
         raise argparse.ArgumentTypeError(
-            f"grid needs 0 < lo < hi <= {_XGRID_MAX:g} and count >= 2, got {text!r}"
+            f"grid needs 0 < lo < hi <= {_XGRID_MAX:g} and "
+            f"2 <= count <= {_XGRID_COUNT_MAX}, got {text!r}"
         )
     return lo, hi, count
 
@@ -123,12 +134,21 @@ def _check_args(args):
         raise SystemExit(_usage_error(
             f"tol must lie in [{TOL_FLOOR:g}, 1e-2], got {args.tol}"))
     if args.command != "spectrum":
-        from .specfun import MAX_COUPLING
+        from .specfun import MAX_COUPLING, MIN_COUPLING
 
         if not abs(args.g) <= MAX_COUPLING:
             raise SystemExit(_usage_error(
                 f"{args.command} needs |g| <= {MAX_COUPLING!r}, where the "
                 f"Laguerre seed e^(-2 g^2) is still a normal double; got {args.g!r}"))
+        if 0.0 < abs(args.g) < MIN_COUPLING:
+            raise SystemExit(_usage_error(
+                f"{args.command} needs g = 0 or |g| >= {MIN_COUPLING!r}, where the "
+                f"Laguerre argument 4 g^2 is still a normal double; got {args.g!r}"))
+    if args.command == "verify" and args.nmax < _NMAX_MIN:
+        raise SystemExit(_usage_error(
+            f"verify needs --nmax >= {_NMAX_MIN}, so that laguerre_bound's early "
+            f"window n <= nmax // 10 holds a full oscillation of w_n(1); "
+            f"got {args.nmax}"))
 
 
 def _usage_error(message):

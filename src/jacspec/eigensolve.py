@@ -7,6 +7,11 @@ the same window, plus bounds on what the rows before it and the
 infinite tail after it can change.  Certifying an index therefore costs
 O(W) for a window of 2W + 1 rows, whatever the truncation.  Only the
 indices that fail the certificate are solved again, on wider windows.
+On wide requests the multisection counts only a few of its grid points:
+Newton probes on each window's determinant narrow a bracket of counted
+points around the eigenvalue, and every grid point outside that bracket
+takes the count the sweep would have returned, so the values are those
+of sweeping every level, bit for bit.
 """
 
 import math
@@ -35,6 +40,16 @@ _W_PAD = 64
 # multisection points per sweep, summed over indices, that cost about as
 # much as one point: numpy call overhead dominates below this length
 _SWEEP_WIDTH = 1024
+# bits of the Weyl bracket that plain multisection levels resolve before
+# Newton probes start; more levels follow while some bracket still holds
+# more than one eigenvalue of its window
+_PLAIN_BITS = 4
+# probe sweeps a request is expected to need, and the most it may take
+_PROBE_SWEEPS = 4
+_MAX_PROBES = 8
+# the closing counts sit this many rounding terms either side of the
+# last Newton iterate
+_CLOSE_TERMS = 4
 
 
 @dataclass(frozen=True)
@@ -104,12 +119,15 @@ def _pivmin(off2):
     return _SAFMIN * max(1.0, float(off2.max(initial=0.0)))
 
 
-def _window_counts(p, a, L, xs, pivmin):
+def _window_counts(p, a, L, xs, pivmin, slope=False):
     """Eigenvalues below xs[i] of the operator's rows [a[i], a[i] + L).
 
     The window rows are generated as the sweep goes: diagonal
     k + c(parity of k) and squared coupling g^2 k to the row above, at
-    k = a + j.  No (indices x L) array is formed.
+    k = a + j.  No (indices x L) array is formed.  With ``slope``, also
+    returns sum_j q_j'/q_j over the pivots q_j, the derivative of
+    log |det(T_window - x)| at x, from the same sweep; the counts do not
+    change.
     """
     g2 = p.g * p.g
     even = a % 2 == 0
@@ -118,28 +136,140 @@ def _window_counts(p, a, L, xs, pivmin):
     g2a = g2 * a
     q = shift[0].copy()
     count = np.zeros(xs.shape, dtype=np.int64)
+    if slope:
+        dq = np.full(xs.shape, -1.0)
+        total = np.zeros(xs.shape)
     for j in range(1, L):
         np.putmask(q, np.abs(q) < pivmin, -pivmin)
         count += q < 0.0
-        q = (shift[j & 1] + j) - (g2a + g2 * j) / q
+        r = (g2a + g2 * j) / q
+        if slope:
+            t = dq / q
+            total += t
+            dq = r * t - 1.0
+        q = (shift[j & 1] + j) - r
     np.putmask(q, np.abs(q) < pivmin, -pivmin)
-    return count + (q < 0.0)
+    count += q < 0.0
+    if slope:
+        return count, total + dq / q
+    return count
+
+
+def _narrow(xl, xr, lanes, xs, counts, local):
+    """Move the bracket ends of lanes to the points xs counted in them.
+
+    A point with at most local[lane] eigenvalues below it can be a left
+    end, one with more a right end.
+    """
+    below = counts <= local[lanes]
+    np.maximum.at(xl, lanes[below], xs[below])
+    np.minimum.at(xr, lanes[~below], xs[~below])
+
+
+def _newton_probes(count, local, xl, xr, delta):
+    """Narrow each lane's bracket (xl, xr) to about 2 delta around its eigenvalue.
+
+    Safeguarded Newton on det(T_window - x), started at the midpoint of
+    every finite bracket.  Each probe is a counted point, so it narrows
+    the bracket whatever its slope; an iterate outside the bracket is
+    moved onto its nearer end, or to the midpoint when that end is the
+    point just probed.  A lane stops when the iterate lands on an end
+    or moves by h with h^2 <= delta / 64: the next error is about h^2
+    times the sum of 1/gap over the window's other eigenvalues, which
+    stays below 32 at unit spacing.  Then one sweep counts at the last
+    iterate -+ delta.  A non-finite or wrong slope costs probes, never
+    a wrong bracket.  count(lanes, xs, slope) counts at xs[i] on the
+    window of lane lanes[i].
+    """
+    act = np.flatnonzero(np.isfinite(xl) & np.isfinite(xr))
+    x = 0.5 * (xl[act] + xr[act])
+    centre = np.full(xl.shape, np.nan)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_PROBES):
+            if act.size == 0:
+                break
+            counts, slope = count(act, x, slope=True)
+            _narrow(xl, xr, act, x, counts, local)
+            left, right = xl[act], xr[act]
+            step = 1.0 / slope
+            nxt = x - step
+            done = (nxt == left) | (nxt == right) | (
+                (left < nxt) & (nxt < right) & (step * step <= delta / 64.0))
+            mid = 0.5 * (left + right)
+            nxt = np.where(np.isfinite(nxt), np.clip(nxt, left, right), mid)
+            nxt = np.where(done | (nxt != x), nxt, mid)
+            centre[act] = nxt
+            act, x = act[~done], nxt[~done]
+    lanes = np.flatnonzero(np.isfinite(centre))
+    xs = np.concatenate([centre[lanes] - delta, centre[lanes] + delta])
+    lanes = np.concatenate([lanes, lanes])
+    _narrow(xl, xr, lanes, xs, count(lanes, xs), local)
+
+
+def _replay(count, local, lo, widths, grid, xl, xr):
+    """Finish the multisection from lo over the levels in widths, per lane.
+
+    A grid point at or left of xl has at most local eigenvalues below
+    it and one at or right of xr has more, because the computed count
+    is monotone in x (Demmel, Dhillon and Ren, ETNA 3, 1995), so only
+    points strictly inside (xl, xr) are counted.  Lanes advance level by
+    level until their next points need a count; those points, whatever
+    their levels, are then counted in one sweep (``count`` as in
+    ``_newton_probes``), and the replay goes on.  The result is the
+    plain multisection's, bit for bit.
+    """
+    widths = np.asarray(widths)
+    last = widths.size - 1
+    level = np.zeros(lo.shape, dtype=np.int64)
+    while True:
+        idx = np.flatnonzero(level <= last)
+        at, lev = lo[idx], level[idx]
+        left, right = xl[idx, None], xr[idx, None]
+        moving = np.ones(idx.size, dtype=bool)
+        while True:
+            moving &= lev <= last
+            if not moving.any():
+                break
+            w = widths[np.minimum(lev, last)]
+            xs = at[:, None] + w[:, None] * grid
+            yes = xs <= left
+            moving &= np.all(yes | (xs >= right), axis=1)
+            at = np.where(moving, at + w * np.sum(yes, axis=1), at)
+            lev += moving
+        lo[idx], level[idx] = at, lev
+        wait = idx[lev <= last]
+        if wait.size == 0:
+            return lo
+        xs = lo[wait, None] + widths[level[wait], None] * grid
+        rows, cols = np.nonzero((xs > xl[wait, None]) & (xs < xr[wait, None]))
+        lanes, xs = wait[rows], xs[rows, cols]
+        _narrow(xl, xr, lanes, xs, count(lanes, xs), local)
 
 
 def _window_bisect(p, ns, W, tol):
     """Eigenvalue n of the rows [n - W, n + W] (clipped at 0), per n in ns.
 
     Multisection from the Weyl bracket n - g^2 + [min c, max c], widened
-    by 1 on each side, down to width below tol.  Each step counts at
+    by 1 on each side, down to width below tol.  Each level counts at
     2^s - 1 points per index, with s as large as keeps the sweep's
     vectors within _SWEEP_WIDTH, so narrow slices take fewer sweeps.  The
     result is only a candidate: the window may be too narrow, and the
     bracket holds the operator's eigenvalue, not the window's.
+
+    Where that takes fewer sweeps, and g != 0, most grid points are not
+    counted.  Every counted point narrows a bracket (xl, xr) per index:
+    xl has at most local = n - max(n - W, 0) eigenvalues of the window
+    below it, xr more.  Plain levels run until _PLAIN_BITS bits are
+    resolved and every bracket holds one eigenvalue, or until further
+    levels would save nothing; then ``_newton_probes`` closes the
+    brackets to a few rounding terms, and ``_replay`` runs the remaining
+    levels, counting only the grid points inside a bracket.  The values
+    are those of the plain multisection, bit for bit.
     """
     s = max(1, int(math.log2(_SWEEP_WIDTH / ns.size + 1.0)))
     parts = 2**s
     start = np.maximum(ns - W, 0)
-    local = (ns - start)[:, None]
+    local = ns - start
     a = np.repeat(start, parts - 1).astype(float)
     L = 2 * W + 1
     g2 = p.g * p.g
@@ -147,11 +277,46 @@ def _window_bisect(p, ns, W, tol):
     lo = ns - g2 + min(p.c1, p.c2) - 1.0
     width = abs(p.c1 - p.c2) + 2.0
     grid = np.arange(1, parts)
+    widths = []
     for _ in range(math.ceil(math.log2(width / tol) / s)):
         width /= parts
-        xs = lo[:, None] + width * grid
+        widths.append(width)
+    # plain levels that leave the probes a gain: the expected probe sweeps
+    # and the three after them (closing counts at two points, one replay)
+    # must fit in the levels that remain
+    spare = len(widths) - _PROBE_SWEEPS - 3
+    first = math.ceil(_PLAIN_BITS / s)
+    probe = p.g != 0.0 and first < spare
+    xl = np.full(ns.shape, -np.inf)
+    xr = np.full(ns.shape, np.inf)
+    # counts at xl and xr, -1 while an end is still infinite
+    count_l = np.full(ns.shape, -1)
+    count_r = np.full(ns.shape, -1)
+    index = np.arange(ns.size)
+    for k, level_width in enumerate(widths):
+        if probe and k >= first and (
+                k >= spare or np.all((count_l == local) & (count_r == local + 1))):
+            break
+        xs = lo[:, None] + level_width * grid
         counts = _window_counts(p, a, L, xs.ravel(), pivmin).reshape(xs.shape)
-        lo = lo + width * np.sum(counts <= local, axis=1)
+        m = np.sum(counts <= local[:, None], axis=1)
+        if probe:
+            # counts rise along the row: columns m - 1 and m are the ends
+            left, right = m > 0, m < parts - 1
+            xl[left] = xs[index[left], m[left] - 1]
+            count_l[left] = counts[index[left], m[left] - 1]
+            xr[right] = xs[index[right], m[right]]
+            count_r[right] = counts[index[right], m[right]]
+        lo = lo + level_width * m
+    else:
+        return lo + 0.5 * width
+
+    def count(lanes, xs, slope=False):
+        return _window_counts(p, start[lanes], L, xs, pivmin, slope)
+
+    delta = _CLOSE_TERMS * _rounding_term(p, float(start.max()) + L, tol)
+    _newton_probes(count, local, xl, xr, delta)
+    lo = _replay(count, local, lo, widths[k:], grid, xl, xr)
     return lo + 0.5 * width
 
 

@@ -12,7 +12,8 @@ suite:
   orders s <= 10 and 0 < x <= 50.  Values below the double-precision
   underflow of the recurrence seed flush to zero.  At x = 4 g^2 the
   seed e^(-x/2) stays a normal double only for |g| <= ``MAX_COUPLING``;
-  beyond it precision is lost.
+  beyond it precision is lost.  x itself is a normal double only for
+  g = 0 or |g| >= ``MIN_COUPLING``.
 * ``bessel_j``: 1e-10 (relative away from zeros) for x <= 1000, s <= 50;
   relative 2e-13 for 0.01 <= x <= 12.  Arguments below a floor
   near 1e-55, where the recurrence would overflow, are refused.
@@ -47,6 +48,10 @@ _SQRT_2PI = 2.5066282746310005
 # seed goes subnormal and the values lose digits (e^(-x/2) L_800(x) is
 # 21% off at g = 19.29) until the seed underflows to 0.
 MAX_COUPLING = math.sqrt(-0.5 * math.log(sys.float_info.min))
+# Smallest nonzero |g| at which the table argument x = 4 g^2 is a normal
+# double (4 g^2 >= DBL_MIN): about 7.46e-155.  Below it x loses digits,
+# and from about 1.1e-162 it underflows to 0, which the table refuses.
+MIN_COUPLING = 0.5 * math.sqrt(sys.float_info.min)
 
 # Laguerre tables with at least this many rows run in degree blocks ...
 _BLOCK_MIN_ROWS = 1024

@@ -4,8 +4,9 @@ Each one computes a quantity by a route that the package itself does
 not take: the Laguerre polynomial by its own three-term recurrence, one
 orthonormal Laguerre function by a scalar recurrence with its own seed,
 the dense shift transform as a whole matrix from one table, s_n as a
-column norm of the diagonalization matrix K, and the eigenvalue
-certificate as one Sturm sweep over the whole truncation.
+column norm of the diagonalization matrix K, the eigenvalue
+certificate as one Sturm sweep over the whole truncation, and the
+multisection with every grid point of every level counted.
 """
 
 import math
@@ -140,3 +141,31 @@ def global_certify(p, ns, vals, tol, M):
     ok = (most[: ns.size] <= ns) & (fewest[ns.size:] > ns)
     half = np.maximum(vals - x_lo, x_hi - vals) + eigensolve._rounding_term(p, M, tol)
     return ok, half
+
+
+def plain_multisection(p, ns, W, tol):
+    """Eigenvalue n of the window rows [n - W, n + W] per n in ns, by sweeping every level.
+
+    The multisection of ``eigensolve._window_bisect`` with every grid
+    point of every level counted by ``eigensolve._window_counts``: the
+    same grid, the same ``lo``/``width`` arithmetic and no brackets, so
+    its values are the reference that the bracketed replay must match
+    bit for bit.
+    """
+    s = max(1, int(math.log2(eigensolve._SWEEP_WIDTH / ns.size + 1.0)))
+    parts = 2**s
+    start = np.maximum(ns - W, 0)
+    local = (ns - start)[:, None]
+    a = np.repeat(start, parts - 1).astype(float)
+    L = 2 * W + 1
+    g2 = p.g * p.g
+    pivmin = np.finfo(float).tiny * max(1.0, g2 * (float(a.max()) + L))
+    lo = ns - g2 + min(p.c1, p.c2) - 1.0
+    width = abs(p.c1 - p.c2) + 2.0
+    grid = np.arange(1, parts)
+    for _ in range(math.ceil(math.log2(width / tol) / s)):
+        width /= parts
+        xs = lo[:, None] + width * grid
+        counts = eigensolve._window_counts(p, a, L, xs.ravel(), pivmin).reshape(xs.shape)
+        lo = lo + width * np.sum(counts <= local, axis=1)
+    return lo + 0.5 * width

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -289,6 +290,34 @@ class TestCouplingLimit:
         code, _, err = run_cli(["spectrum", "--g", "20", "--n", "0:3"], capsys)
         assert code == 0, err
 
+    @pytest.mark.parametrize("command", ["asymptotics", "verify", "oracle"])
+    @pytest.mark.parametrize("g", ["1e-200", "-1e-200", "1e-160"])
+    def test_underflowing_coupling_exits_one(self, command, g, capsys):
+        # 4 g^2 underflows (or goes subnormal) while g != 0
+        code, out, err = run_cli([command, f"--g={g}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert repr(specfun.MIN_COUPLING) in err
+        assert "Traceback" not in err
+
+    def test_smallest_coupling_runs(self, capsys):
+        assert 4.0 * specfun.MIN_COUPLING**2 >= sys.float_info.min
+        code, out, err = run_cli(
+            ["asymptotics", "--g", repr(specfun.MIN_COUPLING), "--n", "8:20"], capsys)
+        assert code == 0, err
+        with pytest.warns(UserWarning, match="g = 0"):
+            code, out, err = run_cli(["asymptotics", "--g", "0", "--n", "8:20"], capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("g", ["1e-200", "-1e-200"])
+    def test_spectrum_accepts_underflowing_coupling(self, g, capsys):
+        code, out, err = run_cli(["spectrum", f"--g={g}", "--n", "0:3"], capsys)
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["converged"] for row in rows] == ["true"] * 4
+        for row, want in zip(rows, [1.0, 1.0, 3.0, 3.0]):
+            assert abs(float(row["lambda"]) - want) < 1e-8
+
 
 class TestVerifyFlags:
     def test_bad_grid_exits_one(self, capsys):
@@ -304,6 +333,37 @@ class TestVerifyFlags:
         assert out == ""
         assert "hi <= 100000" in err
         assert cli._parse_grid("1:1e5:2") == (1.0, 1e5, 2)
+
+    @pytest.mark.parametrize("count", [cli._XGRID_COUNT_MAX + 1, 100000])
+    def test_grid_count_beyond_cap_exits_one(self, count, capsys):
+        code, out, err = run_cli(["verify", "--xgrid", f"1e4:1e5:{count}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"count <= {cli._XGRID_COUNT_MAX}" in err
+
+    def test_grid_count_cap_and_default_are_valid(self):
+        cap = cli._XGRID_COUNT_MAX
+        assert cli._parse_grid(f"1e4:1e5:{cap}") == (1e4, 1e5, cap)
+        assert cli._parse_grid(cli._DEFAULTS["xgrid"]) == (0.1, 100.0, 200)
+
+    @pytest.mark.parametrize("nmax", ["1", "10", "30", "99"])
+    def test_nmax_below_minimum_exits_one(self, nmax, capsys):
+        # laguerre_bound's early window n <= nmax // 10 would hold less
+        # than one oscillation of w_n(1)
+        code, out, err = run_cli(["verify", "--nmax", nmax], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"--nmax >= {cli._NMAX_MIN}" in err
+
+    def test_nmax_minimum_is_one_oscillation_at_x_one(self):
+        # the phase 2 sqrt(n x) of w_n(x) reaches 2 pi at n = pi^2 for x = 1
+        assert cli._NMAX_MIN == 100
+        assert (cli._NMAX_MIN // 10) >= math.pi**2 > ((cli._NMAX_MIN - 1) // 10)
+
+    def test_nmax_minimum_runs(self, capsys):
+        code, out, err = run_cli(["verify", "--nmax", str(cli._NMAX_MIN)], capsys)
+        assert code == 0, err
+        assert "laguerre_bound(x=1) metric=1.0" in out
 
     def test_range_wider_than_cap_exits_one(self, capsys):
         code, _, _ = run_cli(["spectrum", "--n", "0:200001"], capsys)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from jacspec import eigensolve, model
-from oracles import global_certify
+from oracles import global_certify, plain_multisection
 
 
 def random_tridiagonal(rng, n):
@@ -319,3 +319,149 @@ class TestWindowCertificate:
         assert [M for M, _ in sl.history] == [43, 45]
         assert not sl.converged.any()
         assert np.all(np.isinf(sl.est_error))
+
+
+def window_width(g, n_hi):
+    return math.ceil(3.0 * abs(g) * math.sqrt(n_hi + 1) + eigensolve._W_PAD)
+
+
+def sweeps_of(monkeypatch, p, ns, W, tol):
+    """Values of _window_bisect and the (points, slope) of every sweep it made."""
+    sweeps = []
+    kernel = eigensolve._window_counts
+
+    def counted(p_, a, L, xs, pivmin, slope=False):
+        sweeps.append((xs.size, slope))
+        return kernel(p_, a, L, xs, pivmin, slope)
+
+    monkeypatch.setattr(eigensolve, "_window_counts", counted)
+    return eigensolve._window_bisect(p, ns, W, tol), sweeps
+
+
+def same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("g, c1, c2", [(0.3, 1.0, 0.0), (2.0, 0.3, -0.4),
+                                           (12.0, 1.0, 0.0), (2.0, 0.7, 0.7)])
+    def test_monotone_around_eigenvalues(self, g, c1, c2):
+        # the replay decides grid points from counted neighbours, which is
+        # exact only if the computed count never falls as x rises: dense
+        # grids and nextafter neighbours around eigenvalues of windows in
+        # the middle of the spectrum and at its start
+        p = model.ModelParams(g=g, c1=c1, c2=c2)
+        W = 40
+        L = 2 * W + 1
+        for start in (0, 300):
+            T = model.build_A(p, start + L)
+            lam = eigvalsh_tridiagonal(T.diag[start:], T.off[start:])
+            pivmin = np.finfo(float).tiny * max(1.0, g * g * (start + L))
+            for centre in lam[W - 3: W + 4]:
+                steps = np.arange(-40, 41)
+                xs = np.concatenate([centre + 1e-9 * steps, centre + 1e-13 * steps,
+                                     centre + np.spacing(centre) * steps])
+                xs = np.unique(xs)
+                a = np.full(xs.shape, float(start))
+                counts = eigensolve._window_counts(p, a, L, xs, pivmin)
+                assert np.all(np.diff(counts) >= 0)
+                assert counts[0] < counts[-1]
+
+    def test_slope_is_the_log_determinant_derivative(self):
+        # sum q'/q = d/dx log |det(T - x)| = sum 1/(x - lambda_i)
+        p = model.ModelParams(g=0.8, c1=1.0, c2=0.2)
+        start, W = 50, 20
+        L = 2 * W + 1
+        T = model.build_A(p, start + L)
+        lam = eigvalsh_tridiagonal(T.diag[start:], T.off[start:])
+        xs = 0.5 * (lam[:-1] + lam[1:])
+        a = np.full(xs.shape, float(start))
+        pivmin = np.finfo(float).tiny * max(1.0, 0.64 * (start + L))
+        counts, slope = eigensolve._window_counts(p, a, L, xs, pivmin, slope=True)
+        np.testing.assert_array_equal(counts, eigensolve._window_counts(p, a, L, xs, pivmin))
+        np.testing.assert_array_equal(counts, np.arange(1, L))
+        want = np.sum(1.0 / (xs[:, None] - lam[None, :]), axis=1)
+        np.testing.assert_allclose(slope, want, rtol=1e-9, atol=1e-9)
+
+
+class TestBracketedMultisection:
+    """_window_bisect against every level swept (tests/oracles.plain_multisection)."""
+
+    @given(g=st.one_of(st.sampled_from([0.0, -0.5, 0.5, 2.0, -3.0, 1e-3]),
+                       st.floats(-6.0, 6.0)),
+           c1=st.sampled_from([0.0, 0.3, 1.0, -2.0]),
+           shift=st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0, 3.0]),
+                           st.floats(-3.0, 3.0)),
+           n_lo=st.integers(0, 600),
+           count=st.sampled_from([20, 33, 34, 68, 69, 150, 400]),
+           tol=st.sampled_from([1e-2, 1e-4, 1e-8, 1e-10]))
+    def test_bit_identical_to_plain_multisection(self, g, c1, shift, n_lo, count, tol):
+        # counts 33 | 34 and 68 | 69 sit on both sides of s = 5 | 4 | 3; at
+        # tol 1e-8 the probes engage from s = 3 on
+        p = model.ModelParams(g=g, c1=c1, c2=c1 - shift)
+        ns = np.arange(n_lo, n_lo + count)
+        W = window_width(g, int(ns[-1]))
+        same_bits(eigensolve._window_bisect(p, ns, W, tol / 8.0),
+                  plain_multisection(p, ns, W, tol / 8.0))
+
+    @pytest.mark.parametrize("case", TestWindowCertificate.SETS,
+                             ids=lambda c: f"g{c[0]}-n{c[3]}:{c[4]}")
+    def test_bit_identical_on_the_certificate_sets(self, case):
+        g, c1, c2, n_lo, n_hi, tol = case
+        p = model.ModelParams(g=g, c1=c1, c2=c2)
+        ns = np.arange(n_lo, n_hi + 1)
+        W = window_width(g, n_hi)
+        same_bits(eigensolve._window_bisect(p, ns, W, tol / 8.0),
+                  plain_multisection(p, ns, W, tol / 8.0))
+
+    @pytest.mark.parametrize("garbage", ["nan", "inf", "zero", "random", "negated"])
+    def test_wrong_slope_changes_no_value(self, garbage, monkeypatch):
+        # the slope only steers the probes; every probe is a counted point
+        rng = np.random.default_rng(3)
+        kernel = eigensolve._window_counts
+
+        def bad_slope(p_, a, L, xs, pivmin, slope=False):
+            if not slope:
+                return kernel(p_, a, L, xs, pivmin)
+            counts, total = kernel(p_, a, L, xs, pivmin, slope=True)
+            wrong = {"nan": np.full(xs.shape, np.nan), "inf": np.full(xs.shape, np.inf),
+                     "zero": np.zeros(xs.shape),
+                     "random": rng.normal(0.0, 1e3, xs.shape), "negated": -total}
+            return counts, wrong[garbage]
+
+        for g, c1, c2 in [(0.5, 1.0, 0.0), (0.6, 0.3, 0.3), (-2.0, 0.2, 1.5)]:
+            p = model.ModelParams(g=g, c1=c1, c2=c2)
+            ns = np.arange(100, 700)
+            W = window_width(g, 699)
+            want = plain_multisection(p, ns, W, 1e-9)
+            monkeypatch.setattr(eigensolve, "_window_counts", bad_slope)
+            got = eigensolve._window_bisect(p, ns, W, 1e-9)
+            monkeypatch.setattr(eigensolve, "_window_counts", kernel)
+            same_bits(got, want)
+
+    def test_wide_request_skips_most_levels(self, monkeypatch):
+        # 4080 indices at tol 1e-8 / 8: 32 levels of one point each
+        p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
+        ns = np.arange(16, 4096)
+        W = window_width(0.5, 4095)
+        vals, sweeps = sweeps_of(monkeypatch, p, ns, W, 1.25e-9)
+        full = [n for n, slope in sweeps if n == ns.size and not slope]
+        probes = [n for n, slope in sweeps if slope]
+        assert len(full) <= 8
+        assert 1 <= len(probes) <= eigensolve._MAX_PROBES
+        assert len(sweeps) < 16
+        same_bits(vals, plain_multisection(p, ns, W, 1.25e-9))
+
+    @pytest.mark.parametrize("g, count, tol", [(0.5, 32, 1.25e-9), (0.5, 1, 1.25e-9),
+                                               (0.0, 4080, 1.25e-9),
+                                               (0.5, 4080, 1e-2)])
+    def test_plain_path_where_probes_save_nothing(self, g, count, tol, monkeypatch):
+        # slices of up to 32 indices, g = 0 and coarse tolerances sweep
+        # every level, one sweep each, and never probe
+        p = model.ModelParams(g=g, c1=1.0, c2=0.0)
+        ns = np.arange(100, 100 + count)
+        W = window_width(g, int(ns[-1]))
+        s = max(1, int(math.log2(eigensolve._SWEEP_WIDTH / count + 1.0)))
+        levels = math.ceil(math.log2(3.0 / tol) / s)
+        _, sweeps = sweeps_of(monkeypatch, p, ns, W, tol)
+        assert sweeps == [(count * (2**s - 1), False)] * levels

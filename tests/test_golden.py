@@ -8,6 +8,7 @@ and every other number must agree to 1e-12 relative.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import pathlib
@@ -91,3 +92,28 @@ def test_output_matches_golden(name, tmp_path, capsys):
         _compare(json.loads(out.read_text()), json.loads(want), name)
     else:
         _compare_csv(out.read_text(), want, name)
+
+
+def _capture_script():
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "capture_goldens.py"
+    spec = importlib.util.spec_from_file_location("capture_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_capture_check_lists_the_files_that_differ(tmp_path, capsys):
+    script = _capture_script()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        names = script.capture(tmp_path, verbose=False)
+        assert sorted(names) == GOLDENS
+        changed, missing = "spectrum_g0.5.csv", "oracle_g2.0.json"
+        (tmp_path / changed).write_text((tmp_path / changed).read_text() + " ")
+        (tmp_path / missing).unlink()
+        code = script.main(["--check", str(tmp_path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out == [f"differs: {tmp_path / changed}", f"differs: {tmp_path / missing}",
+                   "38 of 40 goldens reproduced byte for byte"]
+    assert not (tmp_path / missing).exists()
