@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 
 _DEFAULTS = {
@@ -60,7 +61,15 @@ _EXIT_UNCONVERGED = 2
 _EXIT_CHECK_FAILED = 3
 
 
+# negative numbers, exponent notation included; argparse alone takes -1e-5 for a flag
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")

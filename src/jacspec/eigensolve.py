@@ -7,11 +7,13 @@ the same window, plus bounds on what the rows before it and the
 infinite tail after it can change.  Certifying an index therefore costs
 O(W) for a window of 2W + 1 rows, whatever the truncation.  Only the
 indices that fail the certificate are solved again, on wider windows.
-On wide requests the multisection counts only a few of its grid points:
-Newton probes on each window's determinant narrow a bracket of counted
-points around the eigenvalue, and every grid point outside that bracket
-takes the count the sweep would have returned, so the values are those
-of sweeping every level, bit for bit.
+The multisection has one level loop, a replay of per-index brackets:
+every count narrows its index's bracket of counted points, and every
+grid point outside that bracket takes the count a sweep would return.
+From open brackets each level counts all its grid points.  On wide
+requests Newton probes on each window's determinant first narrow the
+brackets to a few rounding terms, so only a few grid points are counted;
+the values are those of sweeping every level, bit for bit.
 """
 
 import math
@@ -155,18 +157,7 @@ def _window_counts(p, a, L, xs, pivmin, slope=False):
     return count
 
 
-def _narrow(xl, xr, lanes, xs, counts, local):
-    """Move the bracket ends of lanes to the points xs counted in them.
-
-    A point with at most local[lane] eigenvalues below it can be a left
-    end, one with more a right end.
-    """
-    below = counts <= local[lanes]
-    np.maximum.at(xl, lanes[below], xs[below])
-    np.minimum.at(xr, lanes[~below], xs[~below])
-
-
-def _newton_probes(count, local, xl, xr, delta):
+def _newton_probes(count, xl, xr, delta):
     """Narrow each lane's bracket (xl, xr) to about 2 delta around its eigenvalue.
 
     Safeguarded Newton on det(T_window - x), started at the midpoint of
@@ -179,7 +170,8 @@ def _newton_probes(count, local, xl, xr, delta):
     stays below 32 at unit spacing.  Then one sweep counts at the last
     iterate -+ delta.  A non-finite or wrong slope costs probes, never
     a wrong bracket.  count(lanes, xs, slope) counts at xs[i] on the
-    window of lane lanes[i].
+    window of lane lanes[i], narrows that lane's bracket, and returns
+    the slope when asked.
     """
     act = np.flatnonzero(np.isfinite(xl) & np.isfinite(xr))
     x = 0.5 * (xl[act] + xr[act])
@@ -188,10 +180,8 @@ def _newton_probes(count, local, xl, xr, delta):
         for _ in range(_MAX_PROBES):
             if act.size == 0:
                 break
-            counts, slope = count(act, x, slope=True)
-            _narrow(xl, xr, act, x, counts, local)
+            step = 1.0 / count(act, x, slope=True)
             left, right = xl[act], xr[act]
-            step = 1.0 / slope
             nxt = x - step
             done = (nxt == left) | (nxt == right) | (
                 (left < nxt) & (nxt < right) & (step * step <= delta / 64.0))
@@ -201,22 +191,23 @@ def _newton_probes(count, local, xl, xr, delta):
             centre[act] = nxt
             act, x = act[~done], nxt[~done]
     lanes = np.flatnonzero(np.isfinite(centre))
-    xs = np.concatenate([centre[lanes] - delta, centre[lanes] + delta])
-    lanes = np.concatenate([lanes, lanes])
-    _narrow(xl, xr, lanes, xs, count(lanes, xs), local)
+    count(np.concatenate([lanes, lanes]),
+          np.concatenate([centre[lanes] - delta, centre[lanes] + delta]))
 
 
-def _replay(count, local, lo, widths, grid, xl, xr):
-    """Finish the multisection from lo over the levels in widths, per lane.
+def _replay(count, lo, widths, grid, xl, xr):
+    """Run the multisection from lo over the levels in widths, per lane.
 
-    A grid point at or left of xl has at most local eigenvalues below
-    it and one at or right of xr has more, because the computed count
-    is monotone in x (Demmel, Dhillon and Ren, ETNA 3, 1995), so only
-    points strictly inside (xl, xr) are counted.  Lanes advance level by
-    level until their next points need a count; those points, whatever
-    their levels, are then counted in one sweep (``count`` as in
-    ``_newton_probes``), and the replay goes on.  The result is the
-    plain multisection's, bit for bit.
+    A grid point at or left of xl has at most as many eigenvalues below
+    it as xl, and one at or right of xr at least as many as xr, because
+    the computed count is monotone in x (Demmel, Dhillon and Ren, ETNA
+    3, 1995), so only points strictly inside (xl, xr) are counted.
+    Lanes advance level by level until their next points need a count;
+    those points, whatever their levels, are then counted in one sweep
+    (``count`` as in ``_newton_probes``, which narrows the brackets),
+    and the replay goes on.  From open brackets (-inf, inf) every point
+    of a level is counted.  The result is the plain multisection's, bit
+    for bit.
     """
     widths = np.asarray(widths)
     last = widths.size - 1
@@ -225,25 +216,22 @@ def _replay(count, local, lo, widths, grid, xl, xr):
         idx = np.flatnonzero(level <= last)
         at, lev = lo[idx], level[idx]
         left, right = xl[idx, None], xr[idx, None]
-        moving = np.ones(idx.size, dtype=bool)
         while True:
-            moving &= lev <= last
-            if not moving.any():
-                break
+            live = lev <= last
             w = widths[np.minimum(lev, last)]
             xs = at[:, None] + w[:, None] * grid
             yes = xs <= left
-            moving &= np.all(yes | (xs >= right), axis=1)
+            inside = ~yes & (xs < right) & live[:, None]
+            moving = live & ~np.any(inside, axis=1)
+            if not moving.any():
+                break
             at = np.where(moving, at + w * np.sum(yes, axis=1), at)
             lev += moving
         lo[idx], level[idx] = at, lev
-        wait = idx[lev <= last]
-        if wait.size == 0:
+        if not live.any():
             return lo
-        xs = lo[wait, None] + widths[level[wait], None] * grid
-        rows, cols = np.nonzero((xs > xl[wait, None]) & (xs < xr[wait, None]))
-        lanes, xs = wait[rows], xs[rows, cols]
-        _narrow(xl, xr, lanes, xs, count(lanes, xs), local)
+        rows, cols = np.nonzero(inside)
+        count(idx[rows], xs[rows, cols])
 
 
 def _window_bisect(p, ns, W, tol):
@@ -256,24 +244,25 @@ def _window_bisect(p, ns, W, tol):
     result is only a candidate: the window may be too narrow, and the
     bracket holds the operator's eigenvalue, not the window's.
 
-    Where that takes fewer sweeps, and g != 0, most grid points are not
-    counted.  Every counted point narrows a bracket (xl, xr) per index:
-    xl has at most local = n - max(n - W, 0) eigenvalues of the window
-    below it, xr more.  Plain levels run until _PLAIN_BITS bits are
-    resolved and every bracket holds one eigenvalue, or until further
+    Every level runs through ``_replay``, and every count goes through
+    one function that narrows a bracket (xl, xr) per index: xl has at
+    most local = n - max(n - W, 0) eigenvalues of the window below it,
+    xr more, and cl, cr are the counts at them.  The brackets start
+    open, so the first levels count every grid point.  Where that takes
+    fewer sweeps, and g != 0, those levels stop once _PLAIN_BITS bits
+    are resolved and every bracket holds one eigenvalue, or once further
     levels would save nothing; then ``_newton_probes`` closes the
-    brackets to a few rounding terms, and ``_replay`` runs the remaining
-    levels, counting only the grid points inside a bracket.  The values
-    are those of the plain multisection, bit for bit.
+    brackets to a few rounding terms, and the remaining levels count
+    only the grid points inside a bracket.  The values are those of the
+    plain multisection, bit for bit.
     """
     s = max(1, int(math.log2(_SWEEP_WIDTH / ns.size + 1.0)))
     parts = 2**s
     start = np.maximum(ns - W, 0)
     local = ns - start
-    a = np.repeat(start, parts - 1).astype(float)
     L = 2 * W + 1
     g2 = p.g * p.g
-    pivmin = _SAFMIN * max(1.0, g2 * (float(a.max()) + L))
+    pivmin = _SAFMIN * max(1.0, g2 * (float(start.max()) + L))
     lo = ns - g2 + min(p.c1, p.c2) - 1.0
     width = abs(p.c1 - p.c2) + 2.0
     grid = np.arange(1, parts)
@@ -281,42 +270,39 @@ def _window_bisect(p, ns, W, tol):
     for _ in range(math.ceil(math.log2(width / tol) / s)):
         width /= parts
         widths.append(width)
+    xl = np.full(ns.shape, -np.inf)
+    xr = np.full(ns.shape, np.inf)
+    # counts at xl and xr: running extremes, as the count is monotone in x
+    cl = np.full(ns.shape, -1)
+    cr = np.full(ns.shape, np.iinfo(np.int64).max)
+
+    def count(lanes, xs, slope=False):
+        counts = _window_counts(p, start[lanes], L, xs, pivmin, slope)
+        if slope:
+            counts, slope = counts
+        below = counts <= local[lanes]
+        left, right = lanes[below], lanes[~below]
+        np.maximum.at(xl, left, xs[below])
+        np.maximum.at(cl, left, counts[below])
+        np.minimum.at(xr, right, xs[~below])
+        np.minimum.at(cr, right, counts[~below])
+        return slope
+
     # plain levels that leave the probes a gain: the expected probe sweeps
     # and the three after them (closing counts at two points, one replay)
     # must fit in the levels that remain
     spare = len(widths) - _PROBE_SWEEPS - 3
     first = math.ceil(_PLAIN_BITS / s)
     probe = p.g != 0.0 and first < spare
-    xl = np.full(ns.shape, -np.inf)
-    xr = np.full(ns.shape, np.inf)
-    # counts at xl and xr, -1 while an end is still infinite
-    count_l = np.full(ns.shape, -1)
-    count_r = np.full(ns.shape, -1)
-    index = np.arange(ns.size)
-    for k, level_width in enumerate(widths):
-        if probe and k >= first and (
-                k >= spare or np.all((count_l == local) & (count_r == local + 1))):
-            break
-        xs = lo[:, None] + level_width * grid
-        counts = _window_counts(p, a, L, xs.ravel(), pivmin).reshape(xs.shape)
-        m = np.sum(counts <= local[:, None], axis=1)
-        if probe:
-            # counts rise along the row: columns m - 1 and m are the ends
-            left, right = m > 0, m < parts - 1
-            xl[left] = xs[index[left], m[left] - 1]
-            count_l[left] = counts[index[left], m[left] - 1]
-            xr[right] = xs[index[right], m[right]]
-            count_r[right] = counts[index[right], m[right]]
-        lo = lo + level_width * m
-    else:
-        return lo + 0.5 * width
-
-    def count(lanes, xs, slope=False):
-        return _window_counts(p, start[lanes], L, xs, pivmin, slope)
-
-    delta = _CLOSE_TERMS * _rounding_term(p, float(start.max()) + L, tol)
-    _newton_probes(count, local, xl, xr, delta)
-    lo = _replay(count, local, lo, widths[k:], grid, xl, xr)
+    k = first if probe else len(widths)
+    lo = _replay(count, lo, widths[:k], grid, xl, xr)
+    while k < spare and not np.all((cl == local) & (cr == local + 1)):
+        lo = _replay(count, lo, widths[k:k + 1], grid, xl, xr)
+        k += 1
+    if probe:
+        delta = _CLOSE_TERMS * _rounding_term(p, float(start.max()) + L, tol)
+        _newton_probes(count, xl, xr, delta)
+        lo = _replay(count, lo, widths[k:], grid, xl, xr)
     return lo + 0.5 * width
 
 

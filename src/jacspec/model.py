@@ -222,7 +222,7 @@ def u_columns(ns, g, k_max):
     return cols
 
 
-def u_column_mass(n, g, tol=1e-10, k_start=None):
+def u_column_mass(n, g, tol=1e-10):
     """Certified partial mass of column n: (sum of squares, cutoff used).
 
     Partial sums are monotone and bounded by 1, so 1 - mass bounds the
@@ -231,7 +231,7 @@ def u_column_mass(n, g, tol=1e-10, k_start=None):
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    k_max = k_start if k_start is not None else 2 * n + 64
+    k_max = 2 * n + 64
     while True:
         col = u_columns([n], g, k_max)[:, 0]
         mass = float(col @ col)

@@ -61,6 +61,15 @@ class TestSpectrumCommand:
         assert code == 1
         assert "truncation" in err
 
+    @pytest.mark.parametrize("flag, value", [("--g", "-1e-5"), ("--c1", "-2E+1"),
+                                             ("--c2", "-1e-3")])
+    def test_negative_value_in_exponent_notation(self, flag, value, capsys):
+        # argparse alone reads "-1e-5" as a flag and exits 1
+        spaced = run_cli(["spectrum", flag, value, "--n", "0:2"], capsys)
+        joined = run_cli(["spectrum", f"{flag}={value}", "--n", "0:2"], capsys)
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == joined
+
     def test_overflowing_shift_difference_exits_one(self, capsys):
         code, out, err = run_cli(
             ["spectrum", "--c1", "1e308", "--c2=-1e308", "--n", "0:2"], capsys

@@ -414,6 +414,32 @@ class TestBracketedMultisection:
         same_bits(eigensolve._window_bisect(p, ns, W, tol / 8.0),
                   plain_multisection(p, ns, W, tol / 8.0))
 
+    @pytest.mark.parametrize("n_lo", [99990, 99900, 99000])
+    @pytest.mark.parametrize("c1, c2", [(0.7, 0.7), (1.0, 0.0)])
+    @pytest.mark.parametrize("g", [0.5, 2.0])
+    def test_bit_identical_where_rounding_decides(self, g, c1, c2, n_lo, monkeypatch):
+        # tol 1e-10 is the floor converged_spectrum accepts at n_hi = 1e5;
+        # its last level widths, tol / 8, are below ulp(1e5), so grid
+        # points round onto bracket ends and the replay decides them
+        # without a count.  11 indices take the plain path, 101 and 1001
+        # engage the probes
+        p = model.ModelParams(g=g, c1=c1, c2=c2)
+        ns = np.arange(n_lo, 100001)
+        W = window_width(g, 100000)
+        tol = 1e-10
+        floor = 2.0 * eigensolve._rounding_term(p, 100000 + W + 1, tol)
+        assert floor <= tol < 1.2 * floor
+        assert tol / 8.0 < np.spacing(float(n_lo))
+        want = plain_multisection(p, ns, W, tol / 8.0)
+        vals, sweeps = sweeps_of(monkeypatch, p, ns, W, tol / 8.0)
+        same_bits(vals, want)
+        if ns.size == 11:
+            s = int(math.log2(eigensolve._SWEEP_WIDTH / 11 + 1.0))
+            levels = math.ceil(math.log2((abs(c1 - c2) + 2.0) * 8.0 / tol) / s)
+            assert all(not slope for _, slope in sweeps)
+            assert len(sweeps) == levels
+            assert sum(n for n, _ in sweeps) < levels * 11 * (2**s - 1)
+
     @pytest.mark.parametrize("garbage", ["nan", "inf", "zero", "random", "negated"])
     def test_wrong_slope_changes_no_value(self, garbage, monkeypatch):
         # the slope only steers the probes; every probe is a counted point
