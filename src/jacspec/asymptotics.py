@@ -16,7 +16,7 @@ from . import specfun
 from .eigensolve import SpectralRequest, converged_spectrum
 
 __all__ = [
-    "AsymptoticRow",
+    "AsymptoticTable",
     "DecayFit",
     "diagonal_correction",
     "dyadic_block_maxima",
@@ -28,18 +28,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AsymptoticRow:
-    """Computed eigenvalue against its asymptote at one index."""
+class AsymptoticTable:
+    """Computed eigenvalues against their asymptote, one array per column.
 
-    n: int
-    lam: float
-    first_order: float
-    diag_corr: float
-    r1: float
-    r2: float
-    s_n: float
-    s_n_tail_bound: float
-    converged: bool
+    Entry i of every column belongs to index n[i].  r1 = lam -
+    first_order and r2 = r1 - diag_corr.
+    """
+
+    n: np.ndarray
+    lam: np.ndarray
+    first_order: np.ndarray
+    diag_corr: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    s_n: np.ndarray
+    s_n_tail_bound: np.ndarray
+    converged: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,12 @@ def diagonal_correction(n, p):
     return 0.5 * (p.c1 - p.c2) * parity
 
 
+# rows per block of the s_n sweep: each block's coefficients and row
+# sums are one numpy call each, and its (rows, orders) buffers stay in
+# cache (128 rows ran slower than 32-64)
+_SWEEP_ROWS = 32
+
+
 def _order_cap(x, hard_cap):
     # first order whose recurrence seed underflows double precision;
     # columns past it are identically zero in float64
@@ -92,10 +102,13 @@ def remainder_s_sweep(ns, g, eps_tail=1e-8):
     orthonormality tail bound 1/K^2 drops below eps_tail^2.  Those
     entries are, up to sign, W[j, p] of the Laguerre function table at
     x = 4 g^2: (n, p) above the diagonal and (n - p, p) below it.  One
-    pass of the degree recurrence adds each row k's terms to above[k]
-    and to below[k + p], in O(max n + K) memory.  Orders whose Laguerre
-    seed underflows double precision are exact zeros and are skipped.
-    Returns (s_n array, 1/K^2 array).
+    pass of the degree recurrence, in blocks of ``_SWEEP_ROWS`` rows
+    (``specfun._laguerre_row_blocks``), adds each row k's terms to
+    above[k], with one row sum per row taken for the whole block, and
+    to below[k + p], with one slice add per row in ascending k, in
+    O(max n + K) memory.  Orders whose Laguerre seed underflows double
+    precision are exact zeros and are skipped.  Returns (s_n array,
+    1/K^2 array).
     """
     ns = np.asarray(ns, dtype=int)
     if ns.size and ns.min() < 0:
@@ -112,16 +125,21 @@ def remainder_s_sweep(ns, g, eps_tail=1e-8):
     offsets = np.arange(1, P + 1, dtype=float)
     above = np.empty(n_top + 1)
     below = np.zeros(n_top + 1)
-    for k, row in enumerate(specfun._laguerre_function_rows(n_top, P, x)):
-        terms = (row[1:] / offsets) ** 2
-        above[k] = np.sum(terms)
-        span = min(P, n_top - k)
-        below[k + 1 : k + 1 + span] += terms[:span]
+    terms = np.empty((_SWEEP_ROWS, P))
+    for j0, rows in specfun._laguerre_row_blocks(n_top, P, x, _SWEEP_ROWS):
+        t = terms[: len(rows)]
+        np.divide(rows[:, 1:], offsets, out=t)
+        np.multiply(t, t, out=t)
+        np.sum(t, axis=1, out=above[j0 : j0 + len(rows)])
+        for k, row in enumerate(t, j0):
+            span = min(P, n_top - k)
+            fold = below[k + 1 : k + 1 + span]
+            np.add(fold, row[:span], out=fold)
     return np.sqrt(below[ns] + above[ns]), tails
 
 
 def residual_table(p, n_lo, n_hi, tol=1e-8, eps_tail=1e-8):
-    """Rows comparing computed eigenvalues with their asymptotes."""
+    """Computed eigenvalues n_lo..n_hi against their asymptotes, as an AsymptoticTable."""
     if p.g == 0.0:
         warnings.warn("g = 0: residuals compare a purely diagonal operator")
     spectrum = converged_spectrum(p, SpectralRequest(n_lo=n_lo, n_hi=n_hi, tol=tol))
@@ -129,38 +147,36 @@ def residual_table(p, n_lo, n_hi, tol=1e-8, eps_tail=1e-8):
     fo = first_order(ns, p)
     dc = diagonal_correction(ns, p)
     s_vals, s_tails = remainder_s_sweep(ns, p.g, eps_tail)
-    rows = []
-    for i, n in enumerate(ns):
-        lam = float(spectrum.values[i])
-        r1 = lam - float(fo[i])
-        rows.append(
-            AsymptoticRow(
-                n=int(n),
-                lam=lam,
-                first_order=float(fo[i]),
-                diag_corr=float(dc[i]),
-                r1=r1,
-                r2=r1 - float(dc[i]),
-                s_n=float(s_vals[i]),
-                s_n_tail_bound=float(s_tails[i]),
-                converged=bool(spectrum.converged[i]),
-            )
-        )
-    return rows
+    r1 = spectrum.values - fo
+    return AsymptoticTable(
+        n=ns,
+        lam=spectrum.values,
+        first_order=fo,
+        diag_corr=dc,
+        r1=r1,
+        r2=r1 - dc,
+        s_n=s_vals,
+        s_n_tail_bound=s_tails,
+        converged=spectrum.converged,
+    )
 
 
 def fit_decay(pairs):
     """Least-squares power-law fit on (ln n, ln value).
 
+    ``pairs`` holds (n, value) pairs, as a sequence or an (m, 2) array.
     Zero or negative values are dropped and counted; at least 8 usable
     points are required.
     """
-    usable = [(n, v) for n, v in pairs if v > 0.0]
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    usable = pairs[pairs[:, 1] > 0.0]
     dropped = len(pairs) - len(usable)
     if len(usable) < 8:
         raise ValueError(f"need >= 8 positive points, have {len(usable)}")
-    ns = np.array([n for n, _ in usable], dtype=float)
-    vs = np.array([v for _, v in usable])
+    # contiguous copies, so the fit does not depend on the layout of
+    # pairs: a ufunc may take another (SIMD) loop on strided input
+    ns = np.ascontiguousarray(usable[:, 0])
+    vs = np.ascontiguousarray(usable[:, 1])
     ln_n, ln_v = np.log(ns), np.log(vs)
     slope, intercept = np.polyfit(ln_n, ln_v, 1)
     resid = ln_v - (slope * ln_n + intercept)

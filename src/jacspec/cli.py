@@ -56,6 +56,10 @@ _NMAX_MIN = 100
 # negligible
 _ORACLE_K_MAX = 1600
 
+# rows per write of the JSON table: each numeric column of a batch is
+# one json.dumps call, and no more than a batch is held as text
+_JSON_BATCH = 256
+
 _EXIT_USAGE = 1
 _EXIT_UNCONVERGED = 2
 _EXIT_CHECK_FAILED = 3
@@ -186,24 +190,61 @@ def _format_cell(v):
     return str(v)
 
 
-def _emit_table(args, header, rows, fits=None, checks=None):
+def _emit_table(args, header, columns, fits=None, checks=None):
+    """Write a table, one sequence of cells per header name, to --out or stdout.
+
+    JSON output is the bytes of ``json.dump(payload, fh, indent=2)`` with
+    payload {"config", "rows", "fits", "checks"} and one object per row,
+    written ``_JSON_BATCH`` rows at a time (see ``_json_cells``).  CSV
+    output is a header line and one line of ``_format_cell`` cells per
+    row; with ``fits`` it is followed by one JSON line of them on stdout.
+    """
     with _output(args.out) as fh:
         if args.format == "json":
-            payload = {
-                "config": _config_dict(args),
-                "rows": [dict(zip(header, row)) for row in rows],
-                "fits": fits or {},
-                "checks": checks or [],
-            }
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            _write_json(fh, header, columns, _config_dict(args), fits or {}, checks or [])
             return
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(zip(*([_format_cell(v) for v in _cells(col)] for col in columns)))
     if fits is not None:
         sys.stdout.write(json.dumps({"fits": fits}) + "\n")
+
+
+def _cells(col):
+    return col.tolist() if hasattr(col, "tolist") else col
+
+
+def _json_cells(col):
+    """JSON spellings of the cells of one column.
+
+    A numeric or bool array is spelled by one C-encoded ``json.dumps``
+    of its cells, split on ", ", which no number or literal contains.
+    Other cells, strings among them, are spelled one at a time.
+    """
+    if hasattr(col, "dtype") and col.dtype.kind in "biuf":
+        return json.dumps(col.tolist())[1:-1].split(", ")
+    return [json.dumps(v) for v in col]
+
+
+def _write_json(fh, header, columns, config, fits, checks):
+    fh.write(f'{{\n  "config": {_nested_json(config)},\n  "rows": ')
+    n_rows = len(columns[0])
+    if not n_rows:
+        fh.write("[]")
+    else:
+        fh.write("[\n")
+        template = "    {\n%s\n    }" % ",\n".join(
+            f"      {json.dumps(name).replace('%', '%%')}: %s" for name in header)
+        for i in range(0, n_rows, _JSON_BATCH):
+            batch = [_json_cells(col[i : i + _JSON_BATCH]) for col in columns]
+            fh.write(",\n".join(map(template.__mod__, zip(*batch))))
+            fh.write(",\n" if i + _JSON_BATCH < n_rows else "\n  ]")
+    fh.write(f',\n  "fits": {_nested_json(fits)},\n  "checks": {_nested_json(checks)}\n}}\n')
+
+
+def _nested_json(value):
+    """``json.dumps(value, indent=2)`` as it reads one level deep in a document."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 @contextlib.contextmanager
@@ -216,6 +257,8 @@ def _output(path):
 
 
 def cmd_spectrum(args):
+    import numpy as np
+
     from .eigensolve import SpectralRequest, converged_spectrum
     from .model import ModelParams
 
@@ -224,12 +267,10 @@ def cmd_spectrum(args):
         SpectralRequest(n_lo=args.n[0], n_hi=args.n[1], tol=args.tol),
     )
     header = ["n", "lambda", "truncation_n", "est_error", "converged"]
-    rows = [
-        (n, float(spectrum.values[i]), spectrum.truncation_N,
-         float(spectrum.est_error[i]), bool(spectrum.converged[i]))
-        for i, n in enumerate(spectrum.indices)
-    ]
-    _emit_table(args, header, rows)
+    columns = [np.asarray(spectrum.indices), spectrum.values,
+               np.full(len(spectrum.indices), spectrum.truncation_N),
+               spectrum.est_error, spectrum.converged]
+    _emit_table(args, header, columns)
     return 0 if bool(spectrum.converged.all()) else _EXIT_UNCONVERGED
 
 
@@ -250,28 +291,27 @@ def _fit_or_none(pairs):
 
 
 def cmd_asymptotics(args):
+    import numpy as np
+
     from .asymptotics import residual_table
     from .model import ModelParams
 
-    rows_data = residual_table(
-        ModelParams(g=args.g, c1=args.c1, c2=args.c2), *args.n, tol=args.tol
-    )
+    table = residual_table(ModelParams(g=args.g, c1=args.c1, c2=args.c2), *args.n,
+                           tol=args.tol, eps_tail=_DEFAULTS["eps_tail"])
     header = ["n", "lambda", "first_order", "diag_corr", "r1", "r2",
               "s_n", "s_n_tail_bound"]
-    rows = [
-        (r.n, r.lam, r.first_order, r.diag_corr, r.r1, r.r2, r.s_n, r.s_n_tail_bound)
-        for r in rows_data
-    ]
+    columns = [table.n, table.lam, table.first_order, table.diag_corr, table.r1,
+               table.r2, table.s_n, table.s_n_tail_bound]
     floor = 10.0 * args.tol
+    indexed = table.n >= 1
+    r1, r2 = np.abs(table.r1), np.abs(table.r2)
     fits = {
-        "r1": _fit_or_none([(r.n, abs(r.r1)) for r in rows_data
-                            if r.n >= 1 and abs(r.r1) >= floor]),
-        "r2": _fit_or_none([(r.n, abs(r.r2)) for r in rows_data
-                            if r.n >= 1 and abs(r.r2) >= floor]),
-        "s_n": _fit_or_none([(r.n, r.s_n) for r in rows_data if r.n >= 1]),
+        "r1": _fit_or_none(np.column_stack((table.n, r1))[indexed & (r1 >= floor)]),
+        "r2": _fit_or_none(np.column_stack((table.n, r2))[indexed & (r2 >= floor)]),
+        "s_n": _fit_or_none(np.column_stack((table.n, table.s_n))[indexed]),
     }
-    _emit_table(args, header, rows, fits=fits)
-    return 0 if all(r.converged for r in rows_data) else _EXIT_UNCONVERGED
+    _emit_table(args, header, columns, fits=fits)
+    return 0 if bool(table.converged.all()) else _EXIT_UNCONVERGED
 
 
 def cmd_verify(args):
@@ -305,7 +345,8 @@ def cmd_verify(args):
     for name, status, metric, _ in rows:
         sys.stdout.write(f"{status:>12} {name} metric={metric!r}\n")
     if args.format == "json" or args.out:
-        _emit_table(args, header, rows, checks=[dict(zip(header, row)) for row in rows])
+        _emit_table(args, header, list(zip(*rows)),
+                    checks=[dict(zip(header, row)) for row in rows])
     return 0 if all(r.passed for r in reports) else _EXIT_CHECK_FAILED
 
 
@@ -344,7 +385,7 @@ def cmd_oracle(args):
     for name, dev in rows:
         sys.stdout.write(f"{name} max_deviation={dev!r}\n")
     if args.format == "json" or args.out:
-        _emit_table(args, ["check", "max_deviation"], rows)
+        _emit_table(args, ["check", "max_deviation"], list(zip(*rows)))
     ok = all(dev < _DEFAULTS["oracle_tol"] for _, dev in rows)
     return 0 if ok else _EXIT_CHECK_FAILED
 

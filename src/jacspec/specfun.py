@@ -106,7 +106,7 @@ def laguerre_function_table(n_max, s_max, x):
     aggregates squares, where that is harmless.
 
     Tables of fewer than 1024 rows run the degree recurrence row by
-    row, bit for bit as ``_laguerre_function_rows``.  Taller ones split
+    row, bit for bit as ``_laguerre_row_blocks``.  Taller ones split
     the degree axis into B ~ sqrt(rows) blocks, with B (s_max + 1) at
     most 1024 lanes, that all advance at once.  A first pass carries the
     basis states (w_{t-1}, w_t) = (1, 1) and (0, 1) through every block.
@@ -195,22 +195,41 @@ def _laguerre_steps(k, p, x, steps):
         b = c
 
 
-def _laguerre_function_rows(n_max, s_max, x):
-    """Rows W[0], ..., W[n_max] of ``laguerre_function_table``, one at a time.
+def _laguerre_row_blocks(n_max, s_max, x, block):
+    """Rows W[0], ..., W[n_max] of ``laguerre_function_table`` in blocks of rows.
 
-    The degree recurrence needs only the two previous rows, so a caller
-    that folds each row away uses O(s_max) memory.  Arguments are not
-    checked here.
+    Yields (j0, rows): rows[i] is W[j0 + i], for j0 = 0, block,
+    2 block, ...  Every block but the last holds ``block`` >= 2 rows.
+    ``rows`` is a view of one buffer that the next block overwrites, so
+    a caller that folds each block away uses O(block s_max) memory.
+    Each block takes its coefficients from one ``_laguerre_steps`` call
+    on a column of degrees and runs the degree recurrence row by row
+    within it, written in place, with the same rounding as the table's
+    one-block recurrence.  Arguments are not checked here.
     """
     p = np.arange(s_max + 1, dtype=float)
-    prev, cur = _laguerre_head(p, x)
-    yield prev
-    if n_max == 0:
-        return
-    yield cur
-    for a, b, c in _laguerre_steps(1, p, x, n_max - 1):
-        prev, cur = cur, (a * cur - b * prev) / c
-        yield cur
+    # buf[0], buf[1] carry the two rows before the block; buf[2:] is the block
+    buf = np.empty((block + 2, p.size))
+    pair = np.empty((2, p.size))
+    b_prev, a_cur = pair
+    buf[2], buf[3] = _laguerre_head(p, x)
+    for j0 in range(0, n_max + 1, block):
+        m = min(block, n_max + 1 - j0)
+        if j0:
+            buf[:2] = buf[block:]
+        first = max(j0, 2)
+        if first < j0 + m:
+            # step k of the recurrence gives row k + 1 from rows k - 1 and k
+            k = np.arange(first - 1, j0 + m - 1, dtype=float)[:, None]
+            (a, b, c), = _laguerre_steps(k, p, x, 1)
+            ba = np.stack((b, a), axis=1)
+            for r, coef, ci in zip(range(first - j0 + 2, m + 2), ba, c):
+                # (b w_{k-1}, a w_k) in one call, then (a w_k - b w_{k-1}) / c
+                np.multiply(coef, buf[r - 2 : r], out=pair)
+                row = buf[r]
+                np.subtract(a_cur, b_prev, out=row)
+                np.divide(row, ci, out=row)
+        yield j0, buf[2 : m + 2]
 
 
 def bessel_j(s, x):

@@ -3,6 +3,7 @@
 Each one computes a quantity by a route that the package itself does
 not take: the Laguerre polynomial by its own three-term recurrence, one
 orthonormal Laguerre function by a scalar recurrence with its own seed,
+the Laguerre function table and the s_n sweep one degree row at a time,
 the dense shift transform as a whole matrix from one table, s_n as a
 column norm of the diagonalization matrix K, the eigenvalue
 certificate as one Sturm sweep over the whole truncation, and the
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from jacspec import eigensolve, model, specfun
+from jacspec import asymptotics, eigensolve, model, specfun
 
 
 def laguerre_polynomial(n, s, x):
@@ -78,6 +79,50 @@ def laguerre_function(n, s, x):
             w,
         )
     return w
+
+
+def laguerre_rows(n_max, s_max, x):
+    """Rows W[0], ..., W[n_max] of ``specfun.laguerre_function_table``, one at a time.
+
+    The degree recurrence on one row of orders at a time, from the
+    package's seed rows and step coefficients: the rounding that the
+    table's one-block recurrence and the blocked rows must reproduce.
+    """
+    p = np.arange(s_max + 1, dtype=float)
+    prev, cur = specfun._laguerre_head(p, x)
+    yield prev
+    if n_max == 0:
+        return
+    yield cur
+    for a, b, c in specfun._laguerre_steps(1, p, x, n_max - 1):
+        prev, cur = cur, (a * cur - b * prev) / c
+        yield cur
+
+
+def remainder_s_sweep_rows(ns, g, eps_tail=1e-8):
+    """``asymptotics.remainder_s_sweep`` with one degree row per step.
+
+    Each row k of ``laguerre_rows`` adds its terms to above[k] with one
+    sum and to below[k + p] with one slice add: the summation order
+    that the blocked sweep must keep bit for bit.
+    """
+    ns = np.asarray(ns, dtype=int)
+    K = int(math.ceil(1.0 / eps_tail)) + 1
+    tails = np.full(ns.shape, 1.0 / (K * K))
+    if g == 0.0 or ns.size == 0:
+        return np.zeros(ns.shape), tails
+    x = 4.0 * g * g
+    n_top = int(ns.max())
+    P = min(asymptotics._order_cap(x, n_top + 4096), K)
+    offsets = np.arange(1, P + 1, dtype=float)
+    above = np.empty(n_top + 1)
+    below = np.zeros(n_top + 1)
+    for k, row in enumerate(laguerre_rows(n_top, P, x)):
+        terms = (row[1:] / offsets) ** 2
+        above[k] = np.sum(terms)
+        span = min(P, n_top - k)
+        below[k + 1 : k + 1 + span] += terms[:span]
+    return np.sqrt(below[ns] + above[ns]), tails
 
 
 def build_dense_u(N, g):

@@ -19,11 +19,11 @@ def report(k, detail):
 
 
 @pytest.fixture(scope="module")
-def main_instance_rows():
+def main_instance_table():
     p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
     start = time.monotonic()
-    rows = asymptotics.residual_table(p, 8, 512, tol=1e-8)
-    return rows, time.monotonic() - start
+    table = asymptotics.residual_table(p, 8, 512, tol=1e-8)
+    return table, time.monotonic() - start
 
 
 def test_criterion_01_exactly_solvable_oracle():
@@ -44,16 +44,15 @@ def test_criterion_01_exactly_solvable_oracle():
     report(1, f"max |lambda_n - (n - g^2 + c)| = {worst:.2e} in {elapsed:.2f}s")
 
 
-def test_criterion_02_main_asymptotic_trend(main_instance_rows):
-    rows, elapsed = main_instance_rows
-    assert all(r.converged for r in rows)
+def test_criterion_02_main_asymptotic_trend(main_instance_table):
+    table, elapsed = main_instance_table
+    assert table.converged.all()
     assert elapsed < 60.0
-    bm = asymptotics.dyadic_block_maxima([r.n for r in rows], [r.r1 for r in rows])
+    bm = asymptotics.dyadic_block_maxima(table.n, table.r1)
     maxima = [bm[j] for j in range(5, 10)]  # [32,64) onward, 512 included
     assert all(b <= a for a, b in zip(maxima, maxima[1:]))
-    fit = asymptotics.fit_decay(
-        [(r.n, abs(r.r1)) for r in rows if abs(r.r1) >= 1e-7]
-    )
+    r1 = np.abs(table.r1)
+    fit = asymptotics.fit_decay(np.column_stack((table.n, r1))[r1 >= 1e-7])
     assert fit.alpha >= 1.0 / 16.0
     report(
         2,
@@ -62,16 +61,14 @@ def test_criterion_02_main_asymptotic_trend(main_instance_rows):
     )
 
 
-def test_criterion_03_second_order_term(main_instance_rows):
-    rows, _ = main_instance_rows
-    fit1 = asymptotics.fit_decay(
-        [(r.n, abs(r.r1)) for r in rows if abs(r.r1) >= 1e-7]
-    )
-    fit2 = asymptotics.fit_decay(
-        [(r.n, abs(r.r2)) for r in rows if abs(r.r2) >= 1e-7]
-    )
+def test_criterion_03_second_order_term(main_instance_table):
+    table, _ = main_instance_table
+    r1, r2 = np.abs(table.r1), np.abs(table.r2)
+    fit1 = asymptotics.fit_decay(np.column_stack((table.n, r1))[r1 >= 1e-7])
+    fit2 = asymptotics.fit_decay(np.column_stack((table.n, r2))[r2 >= 1e-7])
     assert fit2.alpha >= fit1.alpha
-    ratios = [abs(r.r2) / abs(r.r1) for r in rows if 64 <= r.n <= 512 and r.r1 != 0.0]
+    late = (64 <= table.n) & (table.n <= 512) & (table.r1 != 0.0)
+    ratios = r2[late] / r1[late]
     median = float(np.median(ratios))
     # the median clause is reported, not load-bearing
     report(

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jacspec import asymptotics, model, specfun
-from oracles import laguerre_function
+from oracles import laguerre_function, remainder_s_sweep_rows
 
 
 def brute_remainder(n, g):
@@ -131,32 +131,70 @@ class TestRemainderS:
         np.testing.assert_allclose(s, ref, rtol=1e-14, atol=0.0)
 
 
+SWEEP_ROWS = asymptotics._SWEEP_ROWS
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("g", [0.3, 0.5, -0.7, 2.0, 10.0, 18.0])
+    @pytest.mark.parametrize("eps_tail", [1e-8, 1e-2])
+    @pytest.mark.parametrize(
+        "n_top", [0, 1, 2, 129, 199, 4095, SWEEP_ROWS - 1, SWEEP_ROWS, SWEEP_ROWS + 1])
+    def test_bit_identical_to_row_sweep(self, g, eps_tail, n_top):
+        # the blocked sweep keeps the row-by-row sweep's coefficients and
+        # summation order, so every s_n and tail bound is the same double
+        ns = np.arange(n_top + 1)
+        s, tails = asymptotics.remainder_s_sweep(ns, g, eps_tail)
+        s_ref, tails_ref = remainder_s_sweep_rows(ns, g, eps_tail)
+        assert np.array_equal(s, s_ref)
+        assert np.array_equal(tails, tails_ref)
+
+    def test_unsorted_sparse_indices(self):
+        ns = np.array([300, 0, 77, SWEEP_ROWS, 299])
+        s, tails = asymptotics.remainder_s_sweep(ns, 0.5)
+        s_ref, tails_ref = remainder_s_sweep_rows(ns, 0.5)
+        assert np.array_equal(s, s_ref)
+        assert np.array_equal(tails, tails_ref)
+
+
 class TestResidualTable:
     def test_exactly_solvable_collapse(self):
         p = model.ModelParams(g=0.6, c1=0.3, c2=0.3)
-        rows = asymptotics.residual_table(p, 0, 50, tol=1e-8)
-        for r in rows:
-            assert r.converged
-            assert r.r1 == r.r2
-            assert abs(r.r1) < 1e-7
+        table = asymptotics.residual_table(p, 0, 50, tol=1e-8)
+        assert table.converged.all()
+        assert np.all(table.r1 == table.r2)
+        assert np.all(np.abs(table.r1) < 1e-7)
 
     def test_residual_shrinks(self):
         p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
-        rows = asymptotics.residual_table(p, 8, 128, tol=1e-8)
-        early = max(abs(r.r1) for r in rows if r.n < 16)
-        late = max(abs(r.r1) for r in rows if r.n >= 64)
+        table = asymptotics.residual_table(p, 8, 128, tol=1e-8)
+        r1, r2 = np.abs(table.r1), np.abs(table.r2)
+        early = r1[table.n < 16].max()
+        late = r1[table.n >= 64].max()
         assert late < early
         # removing the parity correction helps on most of the range
-        better = sum(abs(r.r2) <= abs(r.r1) for r in rows if r.n >= 32)
-        total = sum(1 for r in rows if r.n >= 32)
+        tail = table.n >= 32
+        better = np.sum(r2[tail] <= r1[tail])
+        total = np.sum(tail)
         assert better / total > 0.9
 
     def test_zero_coupling_warns(self):
         p = model.ModelParams(g=0.0, c1=0.5, c2=0.1)
         with pytest.warns(UserWarning):
-            rows = asymptotics.residual_table(p, 0, 8, tol=1e-9)
-        for r in rows:
-            assert abs(r.r2) < 1e-8  # diagonal case is exact to solver precision
+            table = asymptotics.residual_table(p, 0, 8, tol=1e-9)
+        assert np.all(np.abs(table.r2) < 1e-8)  # diagonal case is exact to solver precision
+
+    def test_columns_are_one_operation_each(self):
+        p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
+        table = asymptotics.residual_table(p, 8, 40, tol=1e-8)
+        assert np.array_equal(table.n, np.arange(8, 41))
+        assert np.array_equal(table.first_order, asymptotics.first_order(table.n, p))
+        assert np.array_equal(table.diag_corr, asymptotics.diagonal_correction(table.n, p))
+        assert np.array_equal(table.r1, table.lam - table.first_order)
+        assert np.array_equal(table.r2, table.r1 - table.diag_corr)
+        s, tails = asymptotics.remainder_s_sweep(table.n, 0.5)
+        assert np.array_equal(table.s_n, s)
+        assert np.array_equal(table.s_n_tail_bound, tails)
+        assert table.converged.dtype == bool and table.converged.shape == table.n.shape
 
 
 class TestFitDecay:
@@ -183,6 +221,13 @@ class TestFitDecay:
         fit = asymptotics.fit_decay(pairs)
         assert fit.dropped == 2
         assert fit.alpha == pytest.approx(0.5, abs=1e-9)
+
+    def test_array_fits_as_its_pairs(self):
+        ns = np.arange(2, 60)
+        vals = 2.0 * ns**-0.4 * (1.0 + 0.1 * np.sin(ns))
+        vals[[3, 9]] = [0.0, -1.0]
+        pairs = list(zip(ns.tolist(), vals.tolist()))
+        assert asymptotics.fit_decay(np.column_stack((ns, vals))) == asymptotics.fit_decay(pairs)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -235,11 +280,9 @@ class TestDyadicBlocks:
     def test_first_order_blocks_eventually_shrink(self):
         # blocks [16,32) .. [2048,4096) of the leading residual
         p = model.ModelParams(g=0.5, c1=1.0, c2=0.0)
-        rows = asymptotics.residual_table(p, 16, 4095, tol=1e-8)
-        assert all(r.converged for r in rows)
-        bm = asymptotics.dyadic_block_maxima(
-            [r.n for r in rows], [r.r1 for r in rows]
-        )
+        table = asymptotics.residual_table(p, 16, 4095, tol=1e-8)
+        assert table.converged.all()
+        bm = asymptotics.dyadic_block_maxima(table.n, table.r1)
         maxima = [bm[j] for j in range(4, 12)]
         drops = [b <= a for a, b in zip(maxima, maxima[1:])]
         first_good = next(i for i, flag in enumerate(drops) if all(drops[i:]))

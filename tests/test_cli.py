@@ -6,8 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import types
+from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jacspec import cli, diagonalize, specfun
 
@@ -163,6 +168,99 @@ class TestAsymptoticsCommand:
             "n", "lambda", "first_order", "diag_corr", "r1", "r2",
             "s_n", "s_n_tail_bound",
         ]
+
+
+def stdlib_table(args, header, rows, fits=None, checks=None):
+    """What ``cli._emit_table`` must print: the row-wise stdlib writers."""
+    fh = io.StringIO()
+    if args.format == "json":
+        payload = {
+            "config": cli._config_dict(args),
+            "rows": [dict(zip(header, row)) for row in rows],
+            "fits": fits or {},
+            "checks": checks or [],
+        }
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+        return fh.getvalue()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli._format_cell(v) for v in row])
+    if fits is not None:
+        fh.write(json.dumps({"fits": fits}) + "\n")
+    return fh.getvalue()
+
+
+BATCH = cli._JSON_BATCH
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5,
+                  1.0, 0.1, -2.5e300, 1 / 3]
+AWKWARD_TEXT = [", ", "a, b", '"', '"q", "r"', "\\", "line\nbreak", "\u00e9t\u00e9",
+                "\u221e \u2264 \U0001d70b", "%s %d %%", "", " , ,"]
+floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+ints = st.integers(-2**63, 2**63 - 1) | st.sampled_from([0, -1, 2**53 + 1, 2**63 - 1])
+texts = st.text(max_size=8) | st.sampled_from(AWKWARD_TEXT)
+# any Python cell, big ints included, goes down the per-cell path
+cells = floats | st.integers(-10**30, 10**30) | st.booleans() | texts | st.none()
+COLUMN_KINDS = {
+    "float": (floats, np.float64),
+    "int": (ints, np.int64),
+    "bool": (st.booleans(), np.bool_),
+    "text": (texts, None),
+    "cell": (cells, None),
+}
+
+
+@st.composite
+def tables(draw):
+    """(header, columns, rows): rows[i][j] is cell i of columns[j]."""
+    n_rows = draw(st.sampled_from([0, 1, 2, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3]))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
+    header = draw(st.lists(texts, min_size=len(kinds), max_size=len(kinds), unique=True))
+    columns, values = [], []
+    for kind in kinds:
+        strategy, dtype = COLUMN_KINDS[kind]
+        # a drawn pool of cells, cycled to the row count in a drawn order
+        pool = draw(st.lists(strategy, min_size=1, max_size=12))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+        cells_ = [pool[picks[i % len(picks)]] for i in range(n_rows)]
+        columns.append(np.array(cells_, dtype=dtype) if dtype else cells_)
+        values.append(cells_)
+    return header, columns, list(zip(*values))
+
+
+fits_values = st.sampled_from([
+    None, {}, {"r1": None, "s_n": {"c": 1.5, "alpha": math.nan, "n_range": [1, 2],
+                                    "dropped": 0}}])
+checks_values = st.sampled_from([
+    None, [], [{"name": "a, b", "status": "PASS", "metric": -0.0, "note": "\u00e9\n"}]])
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @given(table=tables(), fits=fits_values, checks=checks_values)
+    def test_same_bytes_as_stdlib_writer(self, fmt, table, fits, checks):
+        header, columns, rows = table
+        args = types.SimpleNamespace(command="asymptotics", g=0.5, c1=1.0, c2=-0.0,
+                                     n=(0, max(len(rows) - 1, 0)), tol=1e-8,
+                                     format=fmt, out=None)
+        with redirect_stdout(io.StringIO()) as out:
+            cli._emit_table(args, header, columns, fits=fits, checks=checks)
+        assert out.getvalue() == stdlib_table(args, header, rows, fits, checks)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, BATCH - 1, BATCH, BATCH + 1])
+    def test_batch_edges_to_a_file(self, n_rows, tmp_path):
+        ns = np.arange(n_rows)
+        columns = [ns, ns * 0.1, ns % 3 == 0, [f"s, {i}" for i in range(n_rows)]]
+        header = ["n", "x", "flag", "note"]
+        rows = list(zip(ns.tolist(), (ns * 0.1).tolist(), (ns % 3 == 0).tolist(),
+                        columns[3]))
+        for fmt in ("json", "csv"):
+            path = tmp_path / f"t.{fmt}"
+            args = types.SimpleNamespace(command="spectrum", g=0.0, c1=1.0, c2=0.0,
+                                         n=(0, 0), tol=1e-8, format=fmt, out=str(path))
+            cli._emit_table(args, header, columns)
+            assert path.read_text() == stdlib_table(args, header, rows)
 
 
 class TestVerifyCommand:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacspec import model, specfun
-from oracles import laguerre_function, laguerre_polynomial
+from oracles import laguerre_function, laguerre_polynomial, laguerre_rows
 
 
 def explicit_sum_laguerre(n, s, x):
@@ -214,7 +214,27 @@ def laguerre_function_mp(n, s, x):
 
 
 def row_table(n_max, s_max, x):
-    return np.array(list(specfun._laguerre_function_rows(n_max, s_max, x)))
+    return np.array(list(laguerre_rows(n_max, s_max, x)))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("block", [2, 3, 32])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 31, 32, 33, 63, 64, 65, 200])
+    def test_blocks_are_the_row_recurrence(self, n_max, block):
+        # concatenated, the blocks give the one-row-at-a-time table bit
+        # for bit, whatever the block size and wherever n_max falls
+        starts, rows = [], []
+        for j0, part in specfun._laguerre_row_blocks(n_max, 7, 1.7, block):
+            starts.append(j0)
+            rows.append(part.copy())
+            assert len(part) == block or j0 + len(part) == n_max + 1
+        assert starts == list(range(0, n_max + 1, block))
+        assert np.array_equal(np.concatenate(rows), row_table(n_max, 7, 1.7))
+
+    @pytest.mark.parametrize("x", [1e-6, 1.0, 40.0, 1296.0])
+    def test_blocks_match_at_many_orders(self, x):
+        blocks = [part.copy() for _, part in specfun._laguerre_row_blocks(150, 400, x, 32)]
+        assert np.array_equal(np.concatenate(blocks), row_table(150, 400, x))
 
 
 class TestBlockedTable:
